@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MixLociError, ShapeMismatch
+from .errors import MixLociError, NotHermitian, ShapeMismatch
 from .numeric import ToleranceConfig
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
                      density_from_ensemble, density_matrix_from_array, eigen_ensemble,
                      make_ensemble, make_pure)
 
 __all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs",
-           "pairs_to_complex", "file_sha256", "point_to_json"]
+           "pairs_to_complex", "file_sha256"]
 
 
 class StateFileError(MixLociError):
@@ -45,10 +45,6 @@ def pairs_to_complex(pairs, what: str) -> np.ndarray:
 def complex_to_pairs(values) -> list[list[float]]:
     arr = np.asarray(values, dtype=complex).ravel()
     return [[float(c.real), float(c.imag)] for c in arr]
-
-
-def point_to_json(coords) -> list[list[float]]:
-    return complex_to_pairs(coords)
 
 
 def file_sha256(path) -> str:
@@ -107,5 +103,5 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
             matrix = matrix / trace
         density = density_matrix_from_array(matrix, shape)
         return LoadedState(shape, density, eigen_ensemble(density, tol), "matrix")
-    except ShapeMismatch as exc:
+    except (ShapeMismatch, NotHermitian) as exc:
         raise StateFileError(str(exc)) from exc

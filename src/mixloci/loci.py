@@ -85,7 +85,13 @@ class Pencil:
         return self.blocks.shape[1], self.blocks.shape[2]
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(coords, self.blocks, axes=(0, 0))
+        """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols).
+
+        Summed strictly in coordinate order, not by BLAS, so a row's value does
+        not depend on how many rows share the call.
+        """
+        terms = np.asarray(coords)[..., :, None, None] * self.blocks
+        return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
 
     def max_rank_bound(self) -> int:
         return min(self.block_shape)
@@ -188,51 +194,118 @@ def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLoc
     return LinearLocus(basis, basis.shape[1] - 1)
 
 
-def _sigma_and_grad(p: Pencil, r: np.ndarray, k: int):
-    """sigma_{k+1} at r and its complex gradient over the coordinates."""
-    M = p.evaluate(r)
-    U, s, Vh = np.linalg.svd(M)
-    f = s[k]
-    u = U[:, k]
-    v = Vh[k, :].conj()
-    # d sigma = Re(u^dag (sum dr_i A_i) v); steepest direction is conj(u^dag A_i v)
-    c = np.einsum("a,iab,b->i", u.conj(), p.blocks, v)
-    return f, c.conj(), M, s
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right.  An accumulate has no
+    pairwise or blocked reduction, so a row's sum does not depend on how many
+    rows there are."""
+    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
-def _minimize_sigma(p: Pencil, k: int, r0: np.ndarray, config: SearchConfig):
-    """Projected gradient descent with backtracking on the unit sphere."""
-    r = r0 / np.linalg.norm(r0)
-    f, g, M, _ = _sigma_and_grad(p, r, k)
-    alpha = 1.0
-    converged = False
-    for _ in range(config.max_iter):
-        if f < 1e-14:
-            converged = True
-            break
-        gt = g - np.vdot(r, g) * r
-        gnorm = np.linalg.norm(gt)
-        if gnorm < 1e-16:
-            converged = True
-            break
-        step = alpha
-        accepted = False
-        for _ in range(60):
-            trial = r - step * gt
-            trial /= np.linalg.norm(trial)
-            if np.linalg.norm(trial - r) < config.step_tol:
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous complex array."""
+    parts = x.view(np.float64)
+    return np.sqrt(_row_sum(parts * parts))
+
+
+def _sigma_and_grad(p: Pencil, R: np.ndarray, k: int):
+    """For each row r of R: sigma_{k+1}(M(r)), sigma_max(M(r)) and the complex
+    gradient of sigma_{k+1} over the coordinates."""
+    U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=False)
+    # d sigma = Re(u^dag (sum dr_i A_i) v) with u = U[:, k] and v = Vh[k]^dag; the
+    # steepest direction is conj(u^dag A_i v) = sum_ab u_a conj(A_i)_ab Vh[k]_b
+    inner = _row_sum(p.blocks.conj() * Vh[:, k, None, None, :])
+    return s[:, k], s[:, 0], _row_sum(inner * U[:, None, :, k])
+
+
+def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
+             tol: ToleranceConfig):
+    """Projected gradient descent with backtracking on the unit sphere, all
+    starts (rows of R0) in lockstep.
+
+    Per start the rule is that of a plain loop: at most max_iter outer
+    iterations; stop when f < 1e-14 or the projected gradient norm < 1e-16;
+    from step alpha, halve up to 60 times until the Armijo condition holds,
+    and stop if none does or the trial moves less than step_tol; after an
+    accepted step, alpha = min(2 step, 1).  Each round proposes one trial per
+    live start and makes one batched pencil evaluation, SVD and gradient for
+    them.  A start leaves the batch when it stops.  Vectors are batched numpy
+    rows whose arithmetic never mixes rows; the per-start scalars are Python
+    floats, which cost far less than numpy calls at width 1.  So a start's
+    trajectory does not depend on the batch it shares.
+
+    Returns arrays (r, f, hit, converged) over the starts.  With
+    config.stop_at_first they end at the lowest-index start that hits (if
+    none does, at the last start), and the starts after it are dropped once
+    every start before it has stopped.
+    """
+    rows, cols = p.block_shape
+    R0 = np.ascontiguousarray(R0, dtype=complex)
+    S = end = len(R0)
+    r = R0 / _row_norm(R0)[:, None]
+    f, smax, g = _sigma_and_grad(p, r, k)
+    f, smax = f.tolist(), smax.tolist()
+    r_out = np.empty_like(r)
+    gt = np.zeros_like(r)
+    gnorm, step, alpha = [0.0] * S, [0.0] * S, [1.0] * S
+    outer, halvings = [0] * S, [0] * S
+    finished, hit, converged = [False] * S, [False] * S, [False] * S
+    ids = list(range(S))  # live starts; row j of r, g, gt belongs to start ids[j]
+    fresh = [True] * S  # per live row: a step was just accepted (or none yet)
+    while ids:
+        # None: the start goes on; else it stops, converged or not
+        stop = [None] * len(ids)
+        if any(fresh):
+            began = g - _row_sum(r.conj() * g)[:, None] * r
+            gt = began if all(fresh) else np.where(np.array(fresh)[:, None], began, gt)
+            norms = _row_norm(gt).tolist()
+            for j, i in enumerate(ids):
+                if fresh[j]:
+                    gnorm[i], step[i], halvings[i] = norms[j], alpha[i], 0
+                    if outer[i] >= config.max_iter:
+                        stop[j] = False
+                    elif f[i] < 1e-14 or gnorm[i] < 1e-16:
+                        stop[j] = True
+        trial = r - np.array([step[i] for i in ids])[:, None] * gt
+        trial /= _row_norm(trial)[:, None]
+        moved = _row_norm(trial - r).tolist()
+        for j, i in enumerate(ids):
+            if stop[j] is None and (halvings[i] >= 60 or moved[j] < config.step_tol):
+                stop[j] = True  # no acceptable step left
+        if any(x is not None for x in stop):
+            for j, i in enumerate(ids):
+                if stop[j] is not None:
+                    r_out[i], finished[i], converged[i] = r[j], True, stop[j]
+                    hit[i] = f[i] <= tol.threshold_from_sigma(smax[i], rows, cols)
+            if config.stop_at_first:
+                first = next((i for i in range(S) if hit[i] or not finished[i]), S)
+                if first < S and hit[first]:
+                    end = first + 1
+                    break
+            keep = [j for j, x in enumerate(stop) if x is None]
+            ids = [ids[j] for j in keep]
+            r, g, gt, trial = r[keep], g[keep], gt[keep], trial[keep]
+            if not ids:
                 break
-            ft, gtrial, Mt, _ = _sigma_and_grad(p, trial, k)
-            if ft < f - config.armijo * step * gnorm * gnorm:
-                r, f, g, M = trial, ft, gtrial, Mt
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
-            converged = True
-            break
-        alpha = min(step * 2.0, 1.0)
-    return r, f, M, converged
+        ft, smax_t, g_t = _sigma_and_grad(p, trial, k)
+        ft, smax_t = ft.tolist(), smax_t.tolist()
+        fresh = []
+        for j, i in enumerate(ids):
+            accept = ft[j] < f[i] - config.armijo * step[i] * gnorm[i] * gnorm[i]
+            if accept:
+                f[i], smax[i] = ft[j], smax_t[j]
+                alpha[i] = min(step[i] * 2.0, 1.0)
+                outer[i] += 1
+            else:
+                step[i] /= 2.0
+                halvings[i] += 1
+            fresh.append(accept)
+        if all(fresh):
+            r, g = trial, g_t
+        elif any(fresh):
+            taken = np.array(fresh)[:, None]
+            r, g = np.where(taken, trial, r), np.where(taken, g_t, g)
+    return (r_out[:end], np.array(f[:end]), np.array(hit[:end], dtype=bool),
+            np.array(converged[:end], dtype=bool))
 
 
 def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
@@ -250,29 +323,31 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
         # all-zero pencil: every point has rank 0
         return LocusSample(k, (), (), {"starts": 0, "converged": 0}, trivial=True,
                            min_residual_seen=0.0)
-    rng = np.random.default_rng(config.seed)
+    # per start: d real parts, then d imaginary parts, drawn start after start
+    draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
+    R0 = draws[:, 0] + 1j * draws[:, 1]
+    if config.stop_at_first:
+        # start 0 alone first: where the locus has points it usually hits, and
+        # the other starts never run
+        run = _descend(p, k, R0[:1], config, tol)
+        if not run[2].any():
+            rest = _descend(p, k, R0[1:], config, tol)
+            run = tuple(np.concatenate(pair) for pair in zip(run, rest))
+    else:
+        run = _descend(p, k, R0, config, tol)
+    r, f, hit, converged = run
     found: list[tuple[ProjectivePoint, float]] = []
-    converged_count = 0
-    min_residual = float("inf")
-    for _ in range(config.starts):
-        r0 = rng.standard_normal(p.ambient_dim) + 1j * rng.standard_normal(p.ambient_dim)
-        r, f, M, converged = _minimize_sigma(p, k, r0, config)
-        if converged:
-            converged_count += 1
-        min_residual = min(min_residual, f)
-        if f <= tol.threshold(M):
-            candidate = ProjectivePoint.of(r)
-            if not any(candidate.same_point(q) for q, _ in found):
-                found.append((candidate, f))
-            if config.stop_at_first:
-                break
+    for coords, residual in zip(r[hit], f[hit]):
+        candidate = ProjectivePoint.of(coords)
+        if not any(candidate.same_point(q) for q, _ in found):
+            found.append((candidate, residual))
     found.sort(key=lambda item: item[0].sort_key())
     found = found[:config.max_clusters]
     points = tuple(q for q, _ in found)
     residuals = tuple(f for _, f in found)
-    stats = {"starts": config.starts, "converged": converged_count}
+    stats = {"starts": config.starts, "converged": int(converged.sum())}
     return LocusSample(k, points, residuals, stats, trivial=False,
-                       min_residual_seen=min_residual)
+                       min_residual_seen=f.min() if f.size else float("inf"))
 
 
 def _minor_jacobian(p: Pencil, r: np.ndarray, k: int) -> np.ndarray:

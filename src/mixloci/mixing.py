@@ -156,15 +156,17 @@ def _certificate_at(point: ProjectivePoint, target_pencil: Pencil, component_pen
     Mc = component_pencil.evaluate(point.coords)
     st = singular_values(Mt)
     sc = singular_values(Mc)
+    cut_t = tol.threshold_from_sigma(st[0], *Mt.shape)
+    cut_c = tol.threshold_from_sigma(sc[0], *Mc.shape)
     res_t = st[k] if k < st.size else 0.0
     res_c = sc[k] if k < sc.size else 0.0
-    if res_t > tol.threshold(Mt) / _GUARD:
+    if res_t > cut_t / _GUARD:
         return None
-    if res_c < _GUARD * tol.threshold(Mc):
+    if res_c < _GUARD * cut_c:
         return None
     return MixCertificate(point, side, k,
-                          rank_in_target=int(np.sum(st > tol.threshold(Mt))),
-                          rank_in_component=int(np.sum(sc > tol.threshold(Mc))),
+                          rank_in_target=int(np.sum(st > cut_t)),
+                          rank_in_component=int(np.sum(sc > cut_c)),
                           residual_target=float(res_t),
                           residual_component=float(res_c))
 

@@ -87,7 +87,7 @@ def hermitian_eig(H) -> EigResult:
 
 
 def svd(M) -> SVDResult:
-    """Singular value decomposition M = U diag(s) V^dagger (thin form)."""
+    """Full singular value decomposition M = U diag(s) V^dagger (U and V square)."""
     M = as_matrix(M)
     U, s, Vh = np.linalg.svd(M, full_matrices=True)
     return SVDResult(s, U, Vh.conj().T)

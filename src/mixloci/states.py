@@ -11,7 +11,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import RankOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
+from .errors import NotHermitian, RankOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
 from .numeric import ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
 
 __all__ = [
@@ -150,7 +150,7 @@ def density_matrix_from_array(matrix, shape: BipartiteShape) -> DensityMatrix:
         raise ShapeMismatch(f"expected {shape.dim}x{shape.dim} matrix, got {matrix.shape}")
     scale = 1.0 + np.linalg.norm(matrix)
     if np.linalg.norm(matrix - matrix.conj().T) > _TRACE_TOL * scale:
-        raise ShapeMismatch("density matrix is not Hermitian")
+        raise NotHermitian("density matrix is not Hermitian")
     matrix = (matrix + matrix.conj().T) / 2.0
     if abs(np.trace(matrix).real - 1.0) > _TRACE_TOL or abs(np.trace(matrix).imag) > _TRACE_TOL:
         raise ShapeMismatch("density matrix trace differs from 1")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,10 @@ from conftest import FIXTURES
 from mixloci.io import load_state
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     completed = subprocess.run(
         [sys.executable, "-m", "mixloci.cli", *map(str, args)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=None if env is None else {**os.environ, **env})
     if check:
         assert completed.returncode == 0, completed.stderr
     return completed
@@ -141,6 +142,27 @@ def test_json_output_deterministic():
     first = run_cli(*args).stdout
     second = run_cli(*args).stdout
     assert first == second
+
+
+def test_json_output_identical_across_blas_threads():
+    for args in (("--json", "locus", "--state", fixture("example4.json"), "--k", "2",
+                  "--starts", "16"),
+                 ("--json", "--seed", "5", "genericity", "--m", "3", "--n", "3", "--r", "3",
+                  "--t", "2", "--trials", "2")):
+        one, two = (run_cli(*args, env={"OPENBLAS_NUM_THREADS": threads}).stdout
+                    for threads in ("1", "2"))
+        assert one == two
+
+
+def test_non_hermitian_matrix_exits_2(tmp_path):
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix[0, 1] = 0.1
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "matrix": [[v.real, v.imag]
+                                                           for v in matrix.ravel()]}))
+    completed = run_cli("bounds", "--state", path, check=False)
+    assert completed.returncode == 2
+    assert completed.stderr.strip() == "error: density matrix is not Hermitian"
 
 
 def test_state_file_round_trip(tmp_path):

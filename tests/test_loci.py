@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ToleranceCon
                      is_locus_empty, local_dimension, locus_zero, make_ensemble,
                      make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
                      rank_at, sample_locus)
-from mixloci.loci import InvalidK, Pencil, ProjectivePoint, SearchConfig
+from mixloci.loci import InvalidK, Pencil, ProjectivePoint, SearchConfig, _descend
 
 from conftest import (assert_pencil_matches_paper, load_fixture,
                       paper_pencil_example2_component, paper_pencil_example2_target,
@@ -146,6 +148,40 @@ def test_sample_locus_example2_line():
     p = pencil_of("example2_target.json")
     sample = sample_locus(p, 2, CONFIG, TOL)
     assert any(abs(pt.coords[0]) <= 1e-6 for pt in sample.points)
+
+
+def generic_pencil():
+    # the fixture pencils hold few nonzero, simple entries, whose sums are exact
+    # in any order; this one shows a summation order that depends on the batch
+    rho = random_density(BipartiteShape(3, 3), 4, seed=[1, 4])
+    return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
+
+
+@pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic"])
+def test_search_kernel_has_no_width_dependence(name):
+    p = generic_pencil() if name == "generic" else pencil_of(name)
+    config = SearchConfig(starts=24, seed=3)
+    # the 24 starts sample_locus draws for this seed
+    draws = np.random.default_rng(config.seed).standard_normal((24, 2, p.ambient_dim))
+    R0 = draws[:, 0] + 1j * draws[:, 1]
+    r, f, hit, converged = _descend(p, 2, R0, config, TOL)
+    assert hit.any()
+    for i in range(24):
+        r_i, f_i, hit_i, converged_i = _descend(p, 2, R0[i:i + 1], config, TOL)
+        assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
+        assert (hit_i[0], converged_i[0]) == (hit[i], converged[i])
+
+    first = int(np.argmax(hit))
+    config = replace(config, stop_at_first=True)
+    r_s, f_s, hit_s, _ = _descend(p, 2, R0, config, TOL)
+    assert np.array_equal(r_s, r[:first + 1]) and np.array_equal(f_s, f[:first + 1])
+    assert np.array_equal(hit_s, hit[:first + 1])
+
+    sample = sample_locus(p, 2, config, TOL)
+    assert len(sample.points) == 1
+    assert np.array_equal(sample.points[0].coords, ProjectivePoint.of(r[first]).coords)
+    assert sample.residuals == (f[first],)
+    assert sample.search_stats == {"starts": 24, "converged": int(converged[:first + 1].sum())}
 
 
 def test_sample_locus_trivial_k():

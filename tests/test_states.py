@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from mixloci import (BipartiteShape, ShapeMismatch, ToleranceConfig, WeightSumInvalid,
-                     ZeroVector, density_from_ensemble, eigen_ensemble, make_ensemble,
-                     make_pure, mix, partial_trace, random_density, random_pure,
-                     schmidt)
+from mixloci import (BipartiteShape, NotHermitian, ShapeMismatch, ToleranceConfig,
+                     WeightSumInvalid, ZeroVector, density_from_ensemble,
+                     density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
+                     mix, partial_trace, random_density, random_pure, schmidt)
 from mixloci.errors import RankOutOfRange
+from mixloci.io import StateFileError, load_state
 
 from conftest import load_fixture
 
@@ -73,6 +76,18 @@ def test_density_from_single_member():
     expected = np.zeros((4, 4))
     expected[0, 0] = 1
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
+
+
+def test_non_hermitian_matrix_raises_not_hermitian(tmp_path):
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix[0, 1] = 0.1
+    with pytest.raises(NotHermitian):
+        density_matrix_from_array(matrix, S22)
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "matrix": [[v.real, v.imag]
+                                                           for v in matrix.ravel()]}))
+    with pytest.raises(StateFileError, match="not Hermitian"):
+        load_state(path)
 
 
 def test_density_example1_entry():
