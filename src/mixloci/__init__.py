@@ -8,7 +8,7 @@ from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoi
                    local_dimension, locus_zero, pencil_from_ensemble, rank_at,
                    sample_locus)
 from .mixing import (GenericityQuery, GenericityReport, MixCertificate, MixVerdict,
-                     check_component_necessary, check_ensemble_schmidt,
+                     ZeroLoci, check_component_necessary, check_ensemble_schmidt,
                      check_mixed_mix_eigen, check_pure_mix_eigen,
                      check_reduced_constraints, excludes_max_schmidt_rank,
                      forces_separable, generic_empty_predicate, majorizes,

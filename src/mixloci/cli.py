@@ -16,10 +16,9 @@ import numpy as np
 from .errors import MixLociError
 from .io import StateFileError, complex_to_pairs, file_sha256, load_state
 from .loci import SearchConfig, locus_zero, pencil_from_ensemble, sample_locus
-from .mixing import (GenericityQuery, check_component_necessary, check_mixed_mix_eigen,
-                     check_pure_mix_eigen, check_reduced_constraints,
-                     excludes_max_schmidt_rank, forces_separable, majorizes,
-                     monte_carlo_genericity, schmidt_rank_cap)
+from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
+                     check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
+                     monte_carlo_genericity)
 from .numeric import ToleranceConfig
 
 __all__ = ["main", "build_parser"]
@@ -158,24 +157,21 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_bounds(args, tol: ToleranceConfig) -> int:
-    state = load_state(args.state, tol)
-    m, n = state.shape.m, state.shape.n
-    dim_a = locus_zero(pencil_from_ensemble(state.ensemble, "A"), tol).projective_dimension
-    dim_b = locus_zero(pencil_from_ensemble(state.ensemble, "B"), tol).projective_dimension
-    cap = schmidt_rank_cap(state.density, tol)
+    loci = ZeroLoci.of(load_state(args.state, tol).density, tol)
     data = {
-        "dim_V_A_0": dim_a,
-        "dim_V_B_0": dim_b,
-        "cap_side_A": m - 1 - dim_a,
-        "cap_side_B": n - 1 - dim_b,
-        "schmidt_rank_cap": cap,
-        "forces_separable": forces_separable(state.density, tol),
-        "excludes_max_schmidt_rank": excludes_max_schmidt_rank(state.density, tol),
+        "dim_V_A_0": loci.dim_a,
+        "dim_V_B_0": loci.dim_b,
+        "cap_side_A": loci.cap_a,
+        "cap_side_B": loci.cap_b,
+        "schmidt_rank_cap": loci.schmidt_rank_cap,
+        "forces_separable": loci.forces_separable,
+        "excludes_max_schmidt_rank": loci.excludes_max_schmidt_rank,
     }
     inputs = {"state": file_sha256(args.state)}
-    human = (f"schmidt_rank_cap={cap} (side A {m - 1 - dim_a}, side B {n - 1 - dim_b}), "
-             f"forces_separable={data['forces_separable']}, "
-             f"excludes_max_schmidt_rank={data['excludes_max_schmidt_rank']}")
+    human = (f"schmidt_rank_cap={loci.schmidt_rank_cap} "
+             f"(side A {loci.cap_a}, side B {loci.cap_b}), "
+             f"forces_separable={loci.forces_separable}, "
+             f"excludes_max_schmidt_rank={loci.excludes_max_schmidt_rank}")
     return _emit(args, _report(args, "bounds", inputs, "OK", data), human)
 
 
@@ -235,7 +231,6 @@ def _cmd_genericity(args, tol: ToleranceConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = ToleranceConfig(rank_rel_tol=args.tol_rank, abs_floor=args.tol_floor)
     handlers = {
         "locus": _cmd_locus,
         "check-mix": _cmd_check_mix,
@@ -244,6 +239,7 @@ def main(argv=None) -> int:
         "genericity": _cmd_genericity,
     }
     try:
+        tol = ToleranceConfig(rank_rel_tol=args.tol_rank, abs_floor=args.tol_floor)
         return handlers[args.command](args, tol)
     except (StateFileError, MixLociError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

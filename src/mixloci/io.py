@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MixLociError, NotHermitian, ShapeMismatch
+from .errors import MixLociError, NotHermitian, ShapeMismatch, WeightSumInvalid, ZeroVector
 from .numeric import ToleranceConfig
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
                      density_from_ensemble, density_matrix_from_array, eigen_ensemble,
@@ -32,13 +32,16 @@ class LoadedState:
     shape: BipartiteShape
     density: DensityMatrix
     ensemble: Ensemble
-    source: str  # "ensemble" | "matrix"
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise StateFileError(f"{what}: expected an array of [re, im] pairs")
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0)
+    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2 \
+            or not np.isfinite(arr).all():
+        raise StateFileError(f"{what}: expected an array of finite [re, im] number pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -52,30 +55,35 @@ def file_sha256(path) -> str:
 
 
 def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
-    """Parse and validate a state file, producing both matrix and ensemble views."""
+    """Parse and validate a state file, producing both matrix and ensemble views.
+
+    Every malformed document raises StateFileError.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError("state file root must be a JSON object")
-    try:
-        m, n = int(doc["m"]), int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFileError("state file needs integer members 'm' and 'n'") from exc
-    shape = BipartiteShape(m, n)
-    normalize = bool(doc.get("normalize", True))
+    m, n = doc.get("m"), doc.get("n")
+    if type(m) is not int or type(n) is not int:  # bool is not int here
+        raise StateFileError("state file needs integer members 'm' and 'n'")
+    normalize = doc.get("normalize", True)
+    if not isinstance(normalize, bool):
+        raise StateFileError("'normalize' must be true or false")
     has_ensemble = "ensemble" in doc
-    has_matrix = "matrix" in doc
-    if has_ensemble == has_matrix:
+    if has_ensemble == ("matrix" in doc):
         raise StateFileError("state file needs exactly one of 'ensemble' or 'matrix'")
     try:
+        shape = BipartiteShape(m, n)
         if has_ensemble:
+            if not isinstance(doc["ensemble"], list):
+                raise StateFileError("'ensemble' must be a list")
             members = []
             for entry in doc["ensemble"]:
-                p = float(entry["p"])
-                if p <= 0:
-                    raise StateFileError("ensemble weights must be positive")
+                p = entry.get("p") if isinstance(entry, dict) else None
+                if not (type(p) in (int, float) and 0 < p < float("inf") and "amps" in entry):
+                    raise StateFileError("each ensemble entry needs a positive 'p' and 'amps'")
                 amps = pairs_to_complex(entry["amps"], "ensemble amps")
                 if amps.size != shape.dim:
                     raise StateFileError(
@@ -86,11 +94,11 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
                     if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
                         raise StateFileError("unnormalized amplitudes with normalize=false")
                     psi = PureState(shape, amps)
-                members.append((p, psi))
+                members.append((float(p), psi))
             ensemble = make_ensemble(shape, members)
             if not normalize and ensemble.normalized:
                 raise StateFileError("weights do not sum to 1 with normalize=false")
-            return LoadedState(shape, density_from_ensemble(ensemble), ensemble, "ensemble")
+            return LoadedState(shape, density_from_ensemble(ensemble), ensemble)
         entries = pairs_to_complex(doc["matrix"], "matrix")
         if entries.size != shape.dim ** 2:
             raise StateFileError(
@@ -102,6 +110,6 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
                 raise StateFileError("matrix trace is zero")
             matrix = matrix / trace
         density = density_matrix_from_array(matrix, shape)
-        return LoadedState(shape, density, eigen_ensemble(density, tol), "matrix")
-    except (ShapeMismatch, NotHermitian) as exc:
+        return LoadedState(shape, density, eigen_ensemble(density, tol))
+    except (ShapeMismatch, NotHermitian, ZeroVector, WeightSumInvalid) as exc:
         raise StateFileError(str(exc)) from exc

@@ -14,26 +14,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidK, NotOnLocus
+from .errors import DimensionMismatch, InvalidK, NotOnLocus, ParameterOutOfRange
 from .numeric import ToleranceConfig, null_space, numerical_rank
 from .states import DensityMatrix, Ensemble, Side
 
-__all__ = [
-    "Pencil",
-    "ProjectivePoint",
-    "LinearLocus",
-    "LocusSample",
-    "SearchConfig",
-    "LocusVerdict",
-    "pencil_from_ensemble",
-    "hermitian_form",
-    "rank_at",
-    "in_locus",
-    "locus_zero",
-    "sample_locus",
-    "local_dimension",
-    "is_locus_empty",
-]
+__all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
+           "LocusVerdict", "pencil_from_ensemble", "hermitian_form", "rank_at", "in_locus",
+           "locus_zero", "sample_locus", "local_dimension", "is_locus_empty"]
 
 _POINT_TOL = 1e-9
 
@@ -78,7 +65,6 @@ class Pencil:
     side: Side
     ambient_dim: int
     blocks: np.ndarray
-    source: str = "ensemble"
 
     @property
     def block_shape(self) -> tuple[int, int]:
@@ -126,6 +112,10 @@ class SearchConfig:
     max_clusters: int = 64
     stop_at_first: bool = False
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ParameterOutOfRange(f"starts must be >= 1, got {self.starts}")
+
 
 @dataclass(frozen=True)
 class LocusSample:
@@ -155,7 +145,7 @@ def pencil_from_ensemble(e: Ensemble, side: Side) -> Pencil:
         ambient = e.shape.n
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return Pencil(side, ambient, np.ascontiguousarray(blocks), source="ensemble")
+    return Pencil(side, ambient, np.ascontiguousarray(blocks))
 
 
 def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np.ndarray:

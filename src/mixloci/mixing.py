@@ -15,27 +15,15 @@ import numpy as np
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
 from .loci import (Pencil, ProjectivePoint, SearchConfig, is_locus_empty, locus_zero,
                    pencil_from_ensemble, sample_locus)
-from .numeric import ToleranceConfig, singular_values
+from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, eigen_ensemble,
                      partial_trace, random_density, schmidt_rank)
 
-__all__ = [
-    "MixCertificate",
-    "MixVerdict",
-    "GenericityQuery",
-    "GenericityReport",
-    "majorizes",
-    "check_pure_mix_eigen",
-    "check_mixed_mix_eigen",
-    "check_reduced_constraints",
-    "check_component_necessary",
-    "schmidt_rank_cap",
-    "forces_separable",
-    "excludes_max_schmidt_rank",
-    "check_ensemble_schmidt",
-    "generic_empty_predicate",
-    "monte_carlo_genericity",
-]
+__all__ = ["MixCertificate", "MixVerdict", "GenericityQuery", "GenericityReport",
+           "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
+           "check_reduced_constraints", "check_component_necessary", "ZeroLoci",
+           "schmidt_rank_cap", "forces_separable", "excludes_max_schmidt_rank",
+           "check_ensemble_schmidt", "generic_empty_predicate", "monte_carlo_genericity"]
 
 _SUM_TOL = 1e-9
 _GUARD = 10.0
@@ -134,8 +122,7 @@ def check_mixed_mix_eigen(rho: DensityMatrix, weights: Sequence[float],
 
 
 def _reduced_spectrum(rho: DensityMatrix, side: Side) -> np.ndarray:
-    reduced = partial_trace(rho, side)
-    return np.sort(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2))[::-1]
+    return hermitian_eig(partial_trace(rho, side)).eigenvalues
 
 
 def check_reduced_constraints(rho: DensityMatrix, weights: Sequence[float],
@@ -224,31 +211,58 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     return MixVerdict("NO_OBSTRUCTION_FOUND", stats=all_stats)
 
 
-def _zero_locus_dimension(rho: DensityMatrix, side: Side, tol: ToleranceConfig) -> int:
-    pencil = pencil_from_ensemble(eigen_ensemble(rho, tol), side)
-    return locus_zero(pencil, tol).projective_dimension
+@dataclass(frozen=True)
+class ZeroLoci:
+    """Projective dimensions of rho's rank-0 loci V_A^0 and V_B^0 (-1 when
+    empty) and the bounds they set on every ensemble member of rho."""
+
+    shape: BipartiteShape
+    dim_a: int
+    dim_b: int
+
+    @staticmethod
+    def of(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> "ZeroLoci":
+        """Both loci from one spectral ensemble: they depend on rho alone."""
+        ensemble = eigen_ensemble(rho, tol)
+        dim_a, dim_b = (locus_zero(pencil_from_ensemble(ensemble, side), tol).projective_dimension
+                        for side in ("A", "B"))
+        return ZeroLoci(rho.shape, dim_a, dim_b)
+
+    @property
+    def cap_a(self) -> int:
+        return self.shape.m - 1 - self.dim_a
+
+    @property
+    def cap_b(self) -> int:
+        return self.shape.n - 1 - self.dim_b
+
+    @property
+    def schmidt_rank_cap(self) -> int:
+        """Upper bound on the Schmidt rank of any pure state in any ensemble of rho."""
+        return min(self.cap_a, self.cap_b, self.shape.m, self.shape.n)
+
+    @property
+    def forces_separable(self) -> bool:
+        """True iff the rank-0 locus dimension forces every ensemble member separable."""
+        return self.dim_a == self.shape.m - 2 or self.dim_b == self.shape.n - 2
+
+    @property
+    def excludes_max_schmidt_rank(self) -> bool:
+        """True iff a nonempty rank-0 locus rules out Schmidt rank min(m, n) members."""
+        return self.dim_a >= 0 or self.dim_b >= 0
 
 
 def schmidt_rank_cap(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> int:
-    """Upper bound on the Schmidt rank of any pure state in any ensemble of rho."""
-    m, n = rho.shape.m, rho.shape.n
-    cap_a = m - 1 - _zero_locus_dimension(rho, "A", tol)
-    cap_b = n - 1 - _zero_locus_dimension(rho, "B", tol)
-    return min(cap_a, cap_b, m, n)
+    return ZeroLoci.of(rho, tol).schmidt_rank_cap
 
 
 def forces_separable(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> bool:
-    """True iff the rank-0 locus dimension forces every ensemble member separable."""
-    m, n = rho.shape.m, rho.shape.n
-    return (_zero_locus_dimension(rho, "A", tol) == m - 2
-            or _zero_locus_dimension(rho, "B", tol) == n - 2)
+    return ZeroLoci.of(rho, tol).forces_separable
 
 
 def excludes_max_schmidt_rank(rho: DensityMatrix,
                               tol: ToleranceConfig = ToleranceConfig()) -> bool:
-    """True iff a nonempty rank-0 locus rules out Schmidt rank min(m, n) members."""
-    return (_zero_locus_dimension(rho, "A", tol) >= 0
-            or _zero_locus_dimension(rho, "B", tol) >= 0)
+    return ZeroLoci.of(rho, tol).excludes_max_schmidt_rank
 
 
 def check_ensemble_schmidt(schmidt_number_lower_bound: int, e: Ensemble,

@@ -10,18 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare
+from .errors import NotHermitian, NotSquare, ParameterOutOfRange
 
-__all__ = [
-    "ToleranceConfig",
-    "EigResult",
-    "SVDResult",
-    "as_matrix",
-    "hermitian_eig",
-    "svd",
-    "numerical_rank",
-    "null_space",
-]
+__all__ = ["ToleranceConfig", "EigResult", "SVDResult", "as_matrix", "hermitian_eig", "svd",
+           "numerical_rank", "null_space"]
 
 _HERM_REL = 1e-10
 
@@ -33,15 +25,24 @@ class ToleranceConfig:
     rank_rel_tol: float = 1e-8
     abs_floor: float = 1e-12
 
+    def __post_init__(self):
+        for name in ("rank_rel_tol", "abs_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ParameterOutOfRange(f"{name} must be finite and nonnegative, got {value!r}")
+
     def threshold(self, matrix: np.ndarray) -> float:
         matrix = as_matrix(matrix)
-        if matrix.size == 0:
-            return self.abs_floor
-        sigma_max = np.linalg.norm(matrix, 2)
-        return max(self.rank_rel_tol * sigma_max * max(matrix.shape), self.abs_floor)
+        sigma_max = np.linalg.norm(matrix, 2) if matrix.size else 0.0
+        return self.threshold_from_sigma(sigma_max, *matrix.shape)
 
     def threshold_from_sigma(self, sigma_max: float, rows: int, cols: int) -> float:
         return max(self.rank_rel_tol * sigma_max * max(rows, cols), self.abs_floor)
+
+    def rank(self, s: np.ndarray, rows: int, cols: int) -> int:
+        """Number of the singular values s (nonincreasing) of a rows x cols
+        matrix that lie strictly above the threshold."""
+        return int(np.sum(s > self.threshold_from_sigma(s[0] if s.size else 0.0, rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,9 @@ class SVDResult:
     right_vectors: np.ndarray
 
 
-def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce input to a finite 2-D complex array (row-major)."""
+def as_matrix(entries) -> np.ndarray:
+    """Coerce input to a finite 2-D complex array."""
     matrix = np.asarray(entries, dtype=complex)
-    if rows is not None:
-        matrix = matrix.reshape(rows, cols)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
@@ -73,14 +72,16 @@ def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.n
     return matrix
 
 
-def hermitian_eig(H) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues nonincreasing."""
+def hermitian_eig(H, what: str = "matrix") -> EigResult:
+    """Eigendecomposition of the Hermitian part of H, eigenvalues nonincreasing.
+
+    H must be Hermitian within 1e-10 (1 + ||H||_F); `what` names it in the error.
+    """
     H = as_matrix(H)
     if H.shape[0] != H.shape[1]:
-        raise NotSquare(f"matrix is {H.shape[0]}x{H.shape[1]}")
-    scale = 1.0 + np.linalg.norm(H)
-    if np.linalg.norm(H - H.conj().T) > _HERM_REL * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+        raise NotSquare(f"{what} is {H.shape[0]}x{H.shape[1]}")
+    if np.linalg.norm(H - H.conj().T) > _HERM_REL * (1.0 + np.linalg.norm(H)):
+        raise NotHermitian(f"{what} is not Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh((H + H.conj().T) / 2.0)
     order = np.argsort(eigenvalues)[::-1]
     return EigResult(eigenvalues[order], eigenvectors[:, order])
@@ -103,14 +104,15 @@ def numerical_rank(M, tol: ToleranceConfig = ToleranceConfig()) -> int:
     M = as_matrix(M)
     if M.size == 0:
         return 0
-    s = singular_values(M)
-    cut = tol.threshold_from_sigma(s[0] if len(s) else 0.0, *M.shape)
-    return int(np.sum(s > cut))
+    return tol.rank(singular_values(M), *M.shape)
 
 
 def null_space(M, tol: ToleranceConfig = ToleranceConfig()) -> np.ndarray:
-    """Orthonormal basis of the right null space, as columns (possibly 0 columns)."""
+    """Orthonormal basis of the right null space, as columns (possibly 0 columns).
+
+    One SVD gives the rank and the basis.  The left vectors are not used, so a
+    tall M gets the thin SVD, which still holds every right vector.
+    """
     M = as_matrix(M)
-    res = svd(M)
-    rank = numerical_rank(M, tol)
-    return res.right_vectors[:, rank:]
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    return Vh[tol.rank(s, *M.shape):].conj().T

@@ -6,29 +6,18 @@ i.e. amplitude of |ij> lives at flat index (i-1)*n + (j-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import NotHermitian, RankOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
-from .numeric import ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
+from .errors import RankOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
+from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
 
-__all__ = [
-    "BipartiteShape",
-    "PureState",
-    "Ensemble",
-    "DensityMatrix",
-    "SchmidtDecomposition",
-    "make_pure",
-    "schmidt",
-    "density_from_ensemble",
-    "eigen_ensemble",
-    "mix",
-    "partial_trace",
-    "random_pure",
-    "random_density",
-]
+__all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
+           "SchmidtDecomposition", "make_pure", "make_ensemble", "schmidt", "schmidt_rank",
+           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "mix",
+           "partial_trace", "random_pure", "random_density"]
 
 Side = Literal["A", "B"]
 
@@ -84,16 +73,15 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class DensityMatrix:
+    """A validated state; build it with density_matrix_from_array, which also
+    stores its spectrum (read-only)."""
+
     shape: BipartiteShape
     matrix: np.ndarray
+    spectrum: EigResult = field(repr=False, compare=False)
 
     def eigenvalues(self) -> np.ndarray:
-        return hermitian_eig(self.matrix).eigenvalues
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """n x n block rho_ij (zero-based block indices on side A)."""
-        n = self.shape.n
-        return self.matrix[i * n:(i + 1) * n, j * n:(j + 1) * n]
+        return self.spectrum.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ def make_ensemble(shape: BipartiteShape, members: Sequence[tuple[float, PureStat
 def schmidt(psi: PureState, tol: ToleranceConfig = ToleranceConfig()) -> SchmidtDecomposition:
     """Schmidt decomposition: singular values of the m x n coefficient matrix."""
     res = svd(psi.coefficient_matrix())
-    d = numerical_rank(psi.coefficient_matrix(), tol)
+    d = tol.rank(res.singular_values, psi.shape.m, psi.shape.n)
     return SchmidtDecomposition(res.singular_values[:d], d,
                                 res.left_vectors[:, :d], res.right_vectors[:, :d])
 
@@ -144,20 +132,21 @@ def schmidt_rank(psi: PureState, tol: ToleranceConfig = ToleranceConfig()) -> in
 
 
 def density_matrix_from_array(matrix, shape: BipartiteShape) -> DensityMatrix:
-    """Validate Hermiticity, PSD (up to -1e-10 drift) and unit trace."""
+    """Validate Hermiticity, unit trace and PSD (up to -1e-10 drift); the
+    stored matrix is the Hermitian part, with its spectrum."""
     matrix = as_matrix(matrix)
     if matrix.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected {shape.dim}x{shape.dim} matrix, got {matrix.shape}")
-    scale = 1.0 + np.linalg.norm(matrix)
-    if np.linalg.norm(matrix - matrix.conj().T) > _TRACE_TOL * scale:
-        raise NotHermitian("density matrix is not Hermitian")
+    spectrum = hermitian_eig(matrix, "density matrix")
     matrix = (matrix + matrix.conj().T) / 2.0
-    if abs(np.trace(matrix).real - 1.0) > _TRACE_TOL or abs(np.trace(matrix).imag) > _TRACE_TOL:
+    if abs(np.trace(matrix).real - 1.0) > _TRACE_TOL:
         raise ShapeMismatch("density matrix trace differs from 1")
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    if eigenvalues.min() < -_PSD_TOL:
-        raise ShapeMismatch(f"density matrix has negative eigenvalue {eigenvalues.min():.3e}")
-    return DensityMatrix(shape, matrix)
+    if spectrum.eigenvalues[-1] < -_PSD_TOL:
+        raise ShapeMismatch(
+            f"density matrix has negative eigenvalue {spectrum.eigenvalues[-1]:.3e}")
+    for array in (matrix, spectrum.eigenvalues, spectrum.eigenvectors):
+        array.flags.writeable = False
+    return DensityMatrix(shape, matrix, spectrum)
 
 
 def density_from_ensemble(e: Ensemble) -> DensityMatrix:
@@ -170,10 +159,11 @@ def density_from_ensemble(e: Ensemble) -> DensityMatrix:
 
 def eigen_ensemble(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> Ensemble:
     """Canonical spectral ensemble: eigenvectors weighted by eigenvalues above threshold."""
-    res = hermitian_eig(rho.matrix)
-    cut = tol.threshold(rho.matrix)
+    eig, dim = rho.spectrum, rho.shape.dim
+    norm = max(abs(eig.eigenvalues[0]), abs(eig.eigenvalues[-1]))  # spectral norm of rho
+    cut = tol.threshold_from_sigma(norm, dim, dim)
     members = []
-    for lam, vec in zip(res.eigenvalues, res.eigenvectors.T):
+    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
         if lam > cut:
             members.append((float(lam), PureState(rho.shape, vec.copy())))
     return make_ensemble(rho.shape, members)
@@ -207,10 +197,6 @@ def partial_trace(rho: DensityMatrix, side: Side) -> np.ndarray:
 
 def random_pure(shape: BipartiteShape, seed) -> PureState:
     rng = np.random.default_rng(seed)
-    return _random_pure(shape, rng)
-
-
-def _random_pure(shape: BipartiteShape, rng: np.random.Generator) -> PureState:
     amps = rng.standard_normal(shape.dim) + 1j * rng.standard_normal(shape.dim)
     return make_pure(amps, shape)
 

@@ -176,3 +176,77 @@ def test_state_file_round_trip(tmp_path):
         path.write_text(json.dumps(doc))
         again = load_state(path)
         assert np.linalg.norm(again.density.matrix - state.density.matrix) <= 1e-12
+
+
+def bounds_consistent(doc, m, n):
+    """The relations a bounds report must satisfy among its own fields."""
+    data = doc["data"]
+    dim_a, dim_b = data["dim_V_A_0"], data["dim_V_B_0"]
+    return (data["cap_side_A"] == m - 1 - dim_a and data["cap_side_B"] == n - 1 - dim_b
+            and data["schmidt_rank_cap"] == min(data["cap_side_A"], data["cap_side_B"], m, n)
+            and data["forces_separable"] == (dim_a == m - 2 or dim_b == n - 2)
+            and data["excludes_max_schmidt_rank"] == (dim_a >= 0 or dim_b >= 0))
+
+
+def test_bounds_consistent_on_tiny_weight_member(tmp_path):
+    # |11> carries a weight below the rank threshold: rho's spectral ensemble
+    # drops it, the file's ensemble keeps it; every field must come from one view
+    state = {"m": 2, "n": 2, "ensemble": [
+        {"p": 1 - 1e-13, "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"p": 1e-13, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+    ]}
+    path = tmp_path / "tiny_weight.json"
+    path.write_text(json.dumps(state))
+    doc = json.loads(run_cli("--json", "bounds", "--state", path).stdout)
+    assert bounds_consistent(doc, 2, 2)
+    assert doc["data"]["dim_V_A_0"] == 0 and doc["data"]["schmidt_rank_cap"] == 1
+
+
+def test_bounds_decomposes_the_state_once(monkeypatch, capsys):
+    from mixloci.cli import main
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["--json", "bounds", "--state", str(fixture("bell.json"))]) == 0
+    assert bounds_consistent(json.loads(capsys.readouterr().out), 2, 2)
+    # one eigh validates rho and gives its spectral ensemble; one null-space
+    # SVD per side
+    assert calls["eigh"] <= 1 and calls["eigvalsh"] == 0 and calls["svd"] <= 2
+
+
+AMPS_00 = [[1, 0], [0, 0], [0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 2, "n": 2, "ensemble": [{"amps": AMPS_00}]},
+    {"m": 2, "n": 2, "ensemble": 5},
+    {"m": 2, "n": 2, "ensemble": [{"p": 1, "amps": [[float("nan"), 0]] + AMPS_00[1:]}]},
+    {"m": 2, "n": 2, "normalize": "false", "ensemble": [{"p": 1, "amps": AMPS_00}]},
+], ids=["missing_p", "ensemble_not_list", "nan_amplitude", "normalize_string"])
+def test_malformed_state_file_exits_2(tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    completed = run_cli("bounds", "--state", path, check=False)
+    assert completed.returncode == 2
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--tol-rank", "-1", "bounds", "--state", fixture("bell.json")),
+    ("--tol-floor", "nan", "bounds", "--state", fixture("bell.json")),
+    ("--tol-rank", "inf", "bounds", "--state", fixture("bell.json")),
+    ("locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "-1"),
+    ("genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "2", "--starts", "0"),
+], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
+        "genericity_starts_zero"])
+def test_out_of_range_setting_exits_2(args):
+    completed = run_cli(*args, check=False)
+    assert completed.returncode == 2
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr

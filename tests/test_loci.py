@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ToleranceConfig,
-                     density_from_ensemble, eigen_ensemble, hermitian_form, in_locus,
-                     is_locus_empty, local_dimension, locus_zero, make_ensemble,
+from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOutOfRange,
+                     ToleranceConfig, density_from_ensemble, eigen_ensemble, hermitian_form,
+                     in_locus, is_locus_empty, local_dimension, locus_zero, make_ensemble,
                      make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
                      rank_at, sample_locus)
 from mixloci.loci import InvalidK, Pencil, ProjectivePoint, SearchConfig, _descend
@@ -130,6 +130,43 @@ def test_locus_zero_bell_empty():
     locus = locus_zero(pencil_of("bell.json"), TOL)
     assert locus.is_empty
     assert locus.projective_dimension == -1
+
+
+def shared_annihilator_pencil(seed=6):
+    """Side-A pencil of a generic rank-3 3x3 state whose three members all have
+    r0 as left annihilator, so V_A^0 = {r0}; r0 is returned too.  Unlike the
+    fixtures' entries, these do not sum exactly in any order."""
+    rng = np.random.default_rng(seed)
+    r0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    P = np.eye(3) - np.outer(r0.conj(), r0) / np.vdot(r0, r0)  # r0^T P = 0
+    shape = BipartiteShape(3, 3)
+    members = [(w, make_pure(P @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))),
+                             shape)) for w in (0.5, 0.3, 0.2)]
+    rho = density_from_ensemble(make_ensemble(shape, members))
+    return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A"), ProjectivePoint.of(r0)
+
+
+def test_locus_zero_generic_shared_annihilator():
+    p, r0 = shared_annihilator_pencil()
+    locus = locus_zero(p, TOL)
+    assert locus.projective_dimension == 0
+    assert locus.points()[0].same_point(r0)
+    assert locus.basis.shape[1] == p.ambient_dim - numerical_rank(p.stacked(), TOL)
+
+
+def test_rank_at_generic_shared_annihilator():
+    p, r0 = shared_annihilator_pencil()
+    assert rank_at(p, r0, TOL) == 0 and in_locus(p, 0, r0, TOL)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        z = ProjectivePoint.of(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        assert rank_at(p, z, TOL) == 3 == numerical_rank(p.evaluate(z.coords), TOL)
+
+
+def test_search_config_rejects_no_starts():
+    for starts in (0, -1):
+        with pytest.raises(ParameterOutOfRange):
+            SearchConfig(starts=starts)
 
 
 def test_sample_locus_example4_line():

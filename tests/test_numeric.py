@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixloci import (NotHermitian, NotSquare, ToleranceConfig, hermitian_eig,
-                     null_space, numerical_rank, svd)
+from mixloci import (NotHermitian, NotSquare, ParameterOutOfRange, ToleranceConfig,
+                     hermitian_eig, null_space, numerical_rank, svd)
 
 TOL = ToleranceConfig()
 
@@ -114,3 +114,20 @@ def test_eig_matches_svd_for_psd():
     eigs = hermitian_eig(H).eigenvalues
     sigmas = svd(H).singular_values
     np.testing.assert_allclose(eigs, sigmas, atol=1e-10 * (1 + np.linalg.norm(H)))
+
+
+@pytest.mark.parametrize("field", ["rank_rel_tol", "abs_floor"])
+def test_tolerance_config_rejects_negative_or_non_finite(field):
+    for value in (-1e-8, float("nan"), float("inf")):
+        with pytest.raises(ParameterOutOfRange):
+            ToleranceConfig(**{field: value})
+    assert getattr(ToleranceConfig(**{field: 0.0}), field) == 0.0
+
+
+def test_threshold_matches_threshold_from_sigma():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    s = svd(M).singular_values
+    assert TOL.threshold(M) == pytest.approx(TOL.threshold_from_sigma(s[0], 3, 5), rel=1e-12)
+    assert TOL.rank(s, 3, 5) == numerical_rank(M, TOL) == 3
+    assert TOL.threshold(np.zeros((0, 3))) == TOL.abs_floor

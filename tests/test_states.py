@@ -208,3 +208,13 @@ def test_schmidt_rank_one_iff_product():
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         product = make_pure(np.kron(a, b), S22)
         assert schmidt(product, TOL).rank == 1
+
+
+def test_density_matrix_stores_its_read_only_spectrum():
+    rho = random_density(S33, 4, seed=2)
+    fresh = np.linalg.eigvalsh(rho.matrix)[::-1]
+    np.testing.assert_allclose(rho.eigenvalues(), fresh, atol=1e-12)
+    assert rho.eigenvalues() is rho.spectrum.eigenvalues
+    for array in (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+        with pytest.raises(ValueError):
+            array[0] = 0
