@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
-from .errors import MixLociError
+from .errors import InvalidK, MixLociError
 from .io import StateFileError, complex_to_pairs, file_sha256, load_state
 from .loci import SearchConfig, locus_zero, pencil_from_ensemble, sample_locus
 from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("majorize", help="eigenvalue majorization constraints")
     p.add_argument("--p", help="comma-separated probabilities (pure-decomposition test)")
     p.add_argument("--target", help="target state file")
-    p.add_argument("--components", nargs="*", default=[], help="component state files")
+    p.add_argument("--components", nargs="*", default=(), help="component state files")
     p.add_argument("--weights", help="comma-separated mixing weights")
     p.add_argument("--reduced", action="store_true",
                    help="also check the partial-trace constraints")
@@ -130,7 +131,10 @@ def _cmd_locus(args, tol: ToleranceConfig) -> int:
 def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
     target = load_state(args.target, tol)
     component = load_state(args.component, tol)
-    k = None if args.k == "all" else int(args.k)
+    try:
+        k = None if args.k == "all" else int(args.k)
+    except ValueError as exc:
+        raise InvalidK(f"--k must be an integer or 'all', got {args.k!r}") from exc
     config = SearchConfig(starts=args.starts, seed=args.seed)
     verdict = check_component_necessary(target.density, component.density,
                                         side=args.side, k=k, config=config, tol=tol)
@@ -228,19 +232,26 @@ def _cmd_genericity(args, tol: ToleranceConfig) -> int:
     return _emit(args, _report(args, "genericity", inputs, verdict, data), human)
 
 
+_HANDLERS = {
+    "locus": _cmd_locus,
+    "check-mix": _cmd_check_mix,
+    "bounds": _cmd_bounds,
+    "majorize": _cmd_majorize,
+    "genericity": _cmd_genericity,
+}
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "locus": _cmd_locus,
-        "check-mix": _cmd_check_mix,
-        "bounds": _cmd_bounds,
-        "majorize": _cmd_majorize,
-        "genericity": _cmd_genericity,
-    }
+    args = _parser().parse_args(argv)
     try:
         tol = ToleranceConfig(rank_rel_tol=args.tol_rank, abs_floor=args.tol_floor)
-        return handlers[args.command](args, tol)
+        return _HANDLERS[args.command](args, tol)
     except (StateFileError, MixLociError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

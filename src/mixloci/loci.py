@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -23,6 +23,15 @@ __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchCon
            "locus_zero", "sample_locus", "local_dimension", "is_locus_empty"]
 
 _POINT_TOL = 1e-9
+
+# The descent's stopping rule, per start (see _descend), and the search's output cap.
+_MAX_ITER = 500  # accepted steps
+_MAX_HALVINGS = 60  # step halvings per accepted step
+_STEP_TOL = 1e-12  # smallest move of a trial point
+_ARMIJO = 1e-4  # sufficient-decrease constant
+_F_TOL = 1e-14  # sigma_{k+1} below this ends the descent
+_GNORM_TOL = 1e-16  # a projected gradient norm below this ends the descent
+_MAX_CLUSTERS = 64  # distinct points a search reports
 
 
 @dataclass(frozen=True)
@@ -62,9 +71,11 @@ class ProjectivePoint:
 class Pencil:
     """The family r -> sum_i r_i blocks[i]; blocks stacked as (ambient, rows, cols)."""
 
-    side: Side
-    ambient_dim: int
     blocks: np.ndarray
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.blocks.shape[0]
 
     @property
     def block_shape(self) -> tuple[int, int]:
@@ -92,7 +103,10 @@ class LinearLocus:
     """Exact rank-0 locus {r : sum r_i A_i = 0}, a projective linear subspace."""
 
     basis: np.ndarray
-    projective_dimension: int
+
+    @property
+    def projective_dimension(self) -> int:
+        return self.basis.shape[1] - 1
 
     def points(self) -> list[ProjectivePoint]:
         return [ProjectivePoint.of(self.basis[:, j]) for j in range(self.basis.shape[1])]
@@ -106,10 +120,6 @@ class LinearLocus:
 class SearchConfig:
     starts: int = 64
     seed: int = 0
-    max_iter: int = 500
-    step_tol: float = 1e-12
-    armijo: float = 1e-4
-    max_clusters: int = 64
     stop_at_first: bool = False
 
     def __post_init__(self):
@@ -119,7 +129,6 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class LocusSample:
-    k: int
     points: tuple[ProjectivePoint, ...]
     residuals: tuple[float, ...]
     search_stats: dict = field(default_factory=dict)
@@ -139,13 +148,11 @@ def pencil_from_ensemble(e: Ensemble, side: Side) -> Pencil:
     a = e.amplitude_tensor()
     if side == "A":
         blocks = a  # blocks[w] = a[w, :, :], n x t
-        ambient = e.shape.m
     elif side == "B":
         blocks = np.transpose(a, (1, 0, 2))  # blocks[j] = a[:, j, :], m x t
-        ambient = e.shape.n
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return Pencil(side, ambient, np.ascontiguousarray(blocks))
+    return Pencil(np.ascontiguousarray(blocks))
 
 
 def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np.ndarray:
@@ -180,8 +187,7 @@ def in_locus(p: Pencil, k: int, point: ProjectivePoint,
 
 def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLocus:
     """Exact rank-0 locus: null space of the stacked block matrix."""
-    basis = null_space(p.stacked(), tol)
-    return LinearLocus(basis, basis.shape[1] - 1)
+    return LinearLocus(null_space(p.stacked(), tol))
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -212,16 +218,17 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     """Projected gradient descent with backtracking on the unit sphere, all
     starts (rows of R0) in lockstep.
 
-    Per start the rule is that of a plain loop: at most max_iter outer
-    iterations; stop when f < 1e-14 or the projected gradient norm < 1e-16;
-    from step alpha, halve up to 60 times until the Armijo condition holds,
-    and stop if none does or the trial moves less than step_tol; after an
-    accepted step, alpha = min(2 step, 1).  Each round proposes one trial per
-    live start and makes one batched pencil evaluation, SVD and gradient for
-    them.  A start leaves the batch when it stops.  Vectors are batched numpy
-    rows whose arithmetic never mixes rows; the per-start scalars are Python
-    floats, which cost far less than numpy calls at width 1.  So a start's
-    trajectory does not depend on the batch it shares.
+    Per start the rule is that of a plain loop, with the constants above: at
+    most _MAX_ITER outer iterations; stop when f < _F_TOL or the projected
+    gradient norm < _GNORM_TOL; from step alpha, halve up to _MAX_HALVINGS
+    times until the Armijo condition (_ARMIJO) holds, and stop if none does or
+    the trial moves less than _STEP_TOL; after an accepted step, alpha =
+    min(2 step, 1).  Each round proposes one trial per live start and makes
+    one batched pencil evaluation, SVD and gradient for them.  A start leaves
+    the batch when it stops.  Vectors are batched numpy rows whose arithmetic
+    never mixes rows; the per-start scalars are Python floats, which cost far
+    less than numpy calls at width 1.  So a start's trajectory does not depend
+    on the batch it shares.
 
     Returns arrays (r, f, hit, converged) over the starts.  With
     config.stop_at_first they end at the lowest-index start that hits (if
@@ -251,15 +258,15 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             for j, i in enumerate(ids):
                 if fresh[j]:
                     gnorm[i], step[i], halvings[i] = norms[j], alpha[i], 0
-                    if outer[i] >= config.max_iter:
+                    if outer[i] >= _MAX_ITER:
                         stop[j] = False
-                    elif f[i] < 1e-14 or gnorm[i] < 1e-16:
+                    elif f[i] < _F_TOL or gnorm[i] < _GNORM_TOL:
                         stop[j] = True
         trial = r - np.array([step[i] for i in ids])[:, None] * gt
         trial /= _row_norm(trial)[:, None]
         moved = _row_norm(trial - r).tolist()
         for j, i in enumerate(ids):
-            if stop[j] is None and (halvings[i] >= 60 or moved[j] < config.step_tol):
+            if stop[j] is None and (halvings[i] >= _MAX_HALVINGS or moved[j] < _STEP_TOL):
                 stop[j] = True  # no acceptable step left
         if any(x is not None for x in stop):
             for j, i in enumerate(ids):
@@ -280,7 +287,7 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
         ft, smax_t = ft.tolist(), smax_t.tolist()
         fresh = []
         for j, i in enumerate(ids):
-            accept = ft[j] < f[i] - config.armijo * step[i] * gnorm[i] * gnorm[i]
+            accept = ft[j] < f[i] - _ARMIJO * step[i] * gnorm[i] * gnorm[i]
             if accept:
                 f[i], smax[i] = ft[j], smax_t[j]
                 alpha[i] = min(step[i] * 2.0, 1.0)
@@ -306,12 +313,9 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     """
     if k < 0:
         raise InvalidK("rank bound k must be nonnegative")
-    if k >= p.max_rank_bound():
-        return LocusSample(k, (), (), {"starts": 0, "converged": 0}, trivial=True,
-                           min_residual_seen=0.0)
-    if np.linalg.norm(p.blocks) < tol.abs_floor:
-        # all-zero pencil: every point has rank 0
-        return LocusSample(k, (), (), {"starts": 0, "converged": 0}, trivial=True,
+    if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
+        # every point is on the locus: k reaches the block size, or the pencil is zero
+        return LocusSample((), (), {"starts": 0, "converged": 0}, trivial=True,
                            min_residual_seen=0.0)
     # per start: d real parts, then d imaginary parts, drawn start after start
     draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
@@ -332,11 +336,11 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
         if not any(candidate.same_point(q) for q, _ in found):
             found.append((candidate, residual))
     found.sort(key=lambda item: item[0].sort_key())
-    found = found[:config.max_clusters]
+    found = found[:_MAX_CLUSTERS]
     points = tuple(q for q, _ in found)
     residuals = tuple(f for _, f in found)
     stats = {"starts": config.starts, "converged": int(converged.sum())}
-    return LocusSample(k, points, residuals, stats, trivial=False,
+    return LocusSample(points, residuals, stats, trivial=False,
                        min_residual_seen=f.min() if f.size else float("inf"))
 
 

@@ -93,10 +93,22 @@ def majorizes(r: Sequence[float], s: Sequence[float], tol: float = _SUM_TOL) -> 
 
 def _check_weights(weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or np.any(weights <= 0):
-        raise WeightSumInvalid("weights must be positive")
+    if weights.size == 0 or not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise WeightSumInvalid("weights must be finite and positive")
     if abs(weights.sum() - 1.0) > _SUM_TOL:
         raise WeightSumInvalid(f"weights sum to {weights.sum()!r}, expected 1")
+    return weights
+
+
+def _check_mixture(rho: DensityMatrix, weights: Sequence[float],
+                   components: Sequence[DensityMatrix]) -> np.ndarray:
+    """Valid weights, one per component, and components of rho's shape."""
+    weights = _check_weights(weights)
+    if len(weights) != len(components):
+        raise WeightSumInvalid("weights and components differ in length")
+    for c in components:
+        if c.shape != rho.shape:
+            raise ShapeMismatch("component shape mismatch")
     return weights
 
 
@@ -111,12 +123,7 @@ def check_mixed_mix_eigen(rho: DensityMatrix, weights: Sequence[float],
                           components: Sequence[DensityMatrix]) -> bool:
     """Necessary for rho = sum p_j rho_j: lambda(rho) majorized by the
     weighted average of the component spectra."""
-    weights = _check_weights(weights)
-    if len(weights) != len(components):
-        raise WeightSumInvalid("weights and components differ in length")
-    for c in components:
-        if c.shape != rho.shape:
-            raise ShapeMismatch("component shape mismatch")
+    weights = _check_mixture(rho, weights, components)
     averaged = sum(w * c.eigenvalues() for w, c in zip(weights, components))
     return majorizes(rho.eigenvalues(), averaged)
 
@@ -128,7 +135,7 @@ def _reduced_spectrum(rho: DensityMatrix, side: Side) -> np.ndarray:
 def check_reduced_constraints(rho: DensityMatrix, weights: Sequence[float],
                               components: Sequence[DensityMatrix]) -> bool:
     """Apply the mixed-state eigenvalue constraint to both partial traces."""
-    weights = _check_weights(weights)
+    weights = _check_mixture(rho, weights, components)
     for side in ("A", "B"):
         averaged = sum(w * _reduced_spectrum(c, side) for w, c in zip(weights, components))
         if not majorizes(_reduced_spectrum(rho, side), averaged):
@@ -152,8 +159,8 @@ def _certificate_at(point: ProjectivePoint, target_pencil: Pencil, component_pen
     if res_c < _GUARD * cut_c:
         return None
     return MixCertificate(point, side, k,
-                          rank_in_target=int(np.sum(st > cut_t)),
-                          rank_in_component=int(np.sum(sc > cut_c)),
+                          rank_in_target=tol.rank(st, *Mt.shape),
+                          rank_in_component=tol.rank(sc, *Mc.shape),
                           residual_target=float(res_t),
                           residual_component=float(res_c))
 

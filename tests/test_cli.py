@@ -219,6 +219,25 @@ def test_bounds_decomposes_the_state_once(monkeypatch, capsys):
     assert calls["eigh"] <= 1 and calls["eigvalsh"] == 0 and calls["svd"] <= 2
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from mixloci import cli
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    argv = ["--json", "majorize", "--p", "0.5,0.5", "--target",
+            str(fixture("maximally_mixed_2x2.json"))]
+    try:
+        outputs = []
+        for _ in range(3):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        # the shared parser's defaults cannot be changed through a parse result
+        assert cli._parser().parse_args(["majorize"]).components == ()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1 and len(set(outputs)) == 1
+
+
 AMPS_00 = [[1, 0], [0, 0], [0, 0], [0, 0]]
 
 
@@ -243,8 +262,16 @@ def test_malformed_state_file_exits_2(tmp_path, doc):
     ("--tol-rank", "inf", "bounds", "--state", fixture("bell.json")),
     ("locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "-1"),
     ("genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "2", "--starts", "0"),
+    ("check-mix", "--target", fixture("example2_target.json"),
+     "--component", fixture("example2_component.json"), "--k", "two"),
+    ("check-mix", "--target", fixture("example2_target.json"),
+     "--component", fixture("example2_component.json"), "--k", "1.5"),
+    ("majorize", "--p", "0.5,nan,0.5", "--target", fixture("maximally_mixed_2x2.json")),
+    ("majorize", "--target", fixture("bell.json"), "--components", fixture("bell.json"),
+     fixture("bell.json"), "--weights", "0.5,nan"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
-        "genericity_starts_zero"])
+        "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
+        "weights_nan"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

@@ -229,7 +229,7 @@ def test_sample_locus_trivial_k():
 
 def test_sample_locus_zero_pencil():
     blocks = np.zeros((2, 2, 2), dtype=complex)
-    p = Pencil("A", 2, blocks)
+    p = Pencil(blocks)
     sample = sample_locus(p, 1, CONFIG, TOL)
     assert sample.trivial
     assert rank_at(p, point(1, 0), TOL) == 0
@@ -312,7 +312,7 @@ def test_column_scaling_invariance():
         + 1j * rng.standard_normal(scaled_blocks.shape[2])
     scaled_blocks *= scales
     original = pencil_from_ensemble(state.ensemble, "A")
-    scaled = Pencil("A", 3, np.ascontiguousarray(scaled_blocks))
+    scaled = Pencil(np.ascontiguousarray(scaled_blocks))
     for _ in range(50):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         pt = ProjectivePoint.of(z)

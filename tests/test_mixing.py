@@ -107,6 +107,11 @@ def test_check_reduced_constraints():
     bell = load_fixture("bell.json").density
     assert not check_reduced_constraints(product, [1.0], [bell])
     assert check_reduced_constraints(product, [1.0], [product])
+    with pytest.raises(WeightSumInvalid):
+        check_reduced_constraints(load_fixture("example2_target.json").density, [0.5, 0.5],
+                                  [load_fixture("example2_component.json").density])
+    with pytest.raises(ShapeMismatch):
+        check_reduced_constraints(bell, [1.0], [load_fixture("example3.json").density])
 
 
 def test_check_component_necessary_example2():
