@@ -31,7 +31,10 @@ _STEP_TOL = 1e-12  # smallest move of a trial point
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _F_TOL = 1e-14  # sigma_{k+1} below this ends the descent
 _GNORM_TOL = 1e-16  # a projected gradient norm below this ends the descent
+_STALL_WINDOW = 10  # accepted steps over which a stall is judged
+_STALL_RTOL = 1e-6  # f falling by less than this times f over the window is a stall
 _MAX_CLUSTERS = 64  # distinct points a search reports
+_REASONS = ("hit", "stalled", "max_iter", "step_tol")  # why a start stopped
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ParameterOutOfRange(f"starts must be >= 1, got {self.starts}")
+        if self.seed < 0:
+            raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -203,13 +208,13 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_sum(parts * parts))
 
 
-def _sigma_and_grad(p: Pencil, R: np.ndarray, k: int):
+def _sigma_and_grad(p: Pencil, R: np.ndarray, k: int, blocks_conj: np.ndarray):
     """For each row r of R: sigma_{k+1}(M(r)), sigma_max(M(r)) and the complex
-    gradient of sigma_{k+1} over the coordinates."""
+    gradient of sigma_{k+1} over the coordinates.  blocks_conj is p.blocks.conj()."""
     U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=False)
     # d sigma = Re(u^dag (sum dr_i A_i) v) with u = U[:, k] and v = Vh[k]^dag; the
     # steepest direction is conj(u^dag A_i v) = sum_ab u_a conj(A_i)_ab Vh[k]_b
-    inner = _row_sum(p.blocks.conj() * Vh[:, k, None, None, :])
+    inner = _row_sum(blocks_conj * Vh[:, k, None, None, :])
     return s[:, k], s[:, 0], _row_sum(inner * U[:, None, :, k])
 
 
@@ -219,37 +224,44 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     starts (rows of R0) in lockstep.
 
     Per start the rule is that of a plain loop, with the constants above: at
-    most _MAX_ITER outer iterations; stop when f < _F_TOL or the projected
-    gradient norm < _GNORM_TOL; from step alpha, halve up to _MAX_HALVINGS
-    times until the Armijo condition (_ARMIJO) holds, and stop if none does or
-    the trial moves less than _STEP_TOL; after an accepted step, alpha =
-    min(2 step, 1).  Each round proposes one trial per live start and makes
-    one batched pencil evaluation, SVD and gradient for them.  A start leaves
-    the batch when it stops.  Vectors are batched numpy rows whose arithmetic
-    never mixes rows; the per-start scalars are Python floats, which cost far
-    less than numpy calls at width 1.  So a start's trajectory does not depend
-    on the batch it shares.
+    most _MAX_ITER accepted steps; stop when f < _F_TOL, the projected
+    gradient norm < _GNORM_TOL, or f has fallen by less than _STALL_RTOL f
+    over the last _STALL_WINDOW accepted steps; from step alpha, halve up to
+    _MAX_HALVINGS times until the Armijo condition (_ARMIJO) holds, and stop
+    if none does or the trial moves less than _STEP_TOL; after an accepted
+    step, alpha = min(2 step, 1).  Each round proposes one trial per live
+    start and makes one batched pencil evaluation, SVD and gradient for them.
+    A start leaves the batch when it stops.  Vectors are batched numpy rows
+    whose arithmetic never mixes rows; the per-start scalars are Python
+    floats, which cost far less than numpy calls at width 1.  So a start's
+    trajectory does not depend on the batch it shares.
 
-    Returns arrays (r, f, hit, converged) over the starts.  With
+    Returns arrays (r, f, hit, converged, reason) over the starts.  reason is
+    "hit" where a start ends on the locus, else what stopped it: "stalled" (a
+    stall, or f or the gradient below its floor), "step_tol" (no acceptable
+    step) or "max_iter"; all but the last count as converged.  With
     config.stop_at_first they end at the lowest-index start that hits (if
     none does, at the last start), and the starts after it are dropped once
     every start before it has stopped.
     """
     rows, cols = p.block_shape
+    blocks_conj = p.blocks.conj()
     R0 = np.ascontiguousarray(R0, dtype=complex)
     S = end = len(R0)
     r = R0 / _row_norm(R0)[:, None]
-    f, smax, g = _sigma_and_grad(p, r, k)
+    f, smax, g = _sigma_and_grad(p, r, k, blocks_conj)
     f, smax = f.tolist(), smax.tolist()
+    history = [[x] for x in f]  # per start: f at the start and after each accepted step
     r_out = np.empty_like(r)
     gt = np.zeros_like(r)
     gnorm, step, alpha = [0.0] * S, [0.0] * S, [1.0] * S
     outer, halvings = [0] * S, [0] * S
-    finished, hit, converged = [False] * S, [False] * S, [False] * S
+    hit, converged = [False] * S, [False] * S
+    reason = [""] * S  # empty while the start runs
     ids = list(range(S))  # live starts; row j of r, g, gt belongs to start ids[j]
     fresh = [True] * S  # per live row: a step was just accepted (or none yet)
     while ids:
-        # None: the start goes on; else it stops, converged or not
+        # None: the start goes on; else why it stops
         stop = [None] * len(ids)
         if any(fresh):
             began = g - _row_sum(r.conj() * g)[:, None] * r
@@ -259,22 +271,26 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
                 if fresh[j]:
                     gnorm[i], step[i], halvings[i] = norms[j], alpha[i], 0
                     if outer[i] >= _MAX_ITER:
-                        stop[j] = False
-                    elif f[i] < _F_TOL or gnorm[i] < _GNORM_TOL:
-                        stop[j] = True
+                        stop[j] = "max_iter"
+                    elif (f[i] < _F_TOL or gnorm[i] < _GNORM_TOL or (
+                            outer[i] >= _STALL_WINDOW
+                            and history[i][-_STALL_WINDOW - 1] - f[i] < _STALL_RTOL * f[i])):
+                        stop[j] = "stalled"
         trial = r - np.array([step[i] for i in ids])[:, None] * gt
         trial /= _row_norm(trial)[:, None]
         moved = _row_norm(trial - r).tolist()
         for j, i in enumerate(ids):
             if stop[j] is None and (halvings[i] >= _MAX_HALVINGS or moved[j] < _STEP_TOL):
-                stop[j] = True  # no acceptable step left
+                stop[j] = "step_tol"
         if any(x is not None for x in stop):
             for j, i in enumerate(ids):
                 if stop[j] is not None:
-                    r_out[i], finished[i], converged[i] = r[j], True, stop[j]
+                    r_out[i] = r[j]
+                    converged[i] = stop[j] != "max_iter"
                     hit[i] = f[i] <= tol.threshold_from_sigma(smax[i], rows, cols)
+                    reason[i] = "hit" if hit[i] else stop[j]
             if config.stop_at_first:
-                first = next((i for i in range(S) if hit[i] or not finished[i]), S)
+                first = next((i for i in range(S) if hit[i] or not reason[i]), S)
                 if first < S and hit[first]:
                     end = first + 1
                     break
@@ -283,13 +299,14 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             r, g, gt, trial = r[keep], g[keep], gt[keep], trial[keep]
             if not ids:
                 break
-        ft, smax_t, g_t = _sigma_and_grad(p, trial, k)
+        ft, smax_t, g_t = _sigma_and_grad(p, trial, k, blocks_conj)
         ft, smax_t = ft.tolist(), smax_t.tolist()
         fresh = []
         for j, i in enumerate(ids):
             accept = ft[j] < f[i] - _ARMIJO * step[i] * gnorm[i] * gnorm[i]
             if accept:
                 f[i], smax[i] = ft[j], smax_t[j]
+                history[i].append(ft[j])
                 alpha[i] = min(step[i] * 2.0, 1.0)
                 outer[i] += 1
             else:
@@ -302,7 +319,7 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             taken = np.array(fresh)[:, None]
             r, g = np.where(taken, trial, r), np.where(taken, g_t, g)
     return (r_out[:end], np.array(f[:end]), np.array(hit[:end], dtype=bool),
-            np.array(converged[:end], dtype=bool))
+            np.array(converged[:end], dtype=bool), np.array(reason[:end]))
 
 
 def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
@@ -315,8 +332,8 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
         raise InvalidK("rank bound k must be nonnegative")
     if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
         # every point is on the locus: k reaches the block size, or the pencil is zero
-        return LocusSample((), (), {"starts": 0, "converged": 0}, trivial=True,
-                           min_residual_seen=0.0)
+        stats = {"starts": 0, "converged": 0, **dict.fromkeys(_REASONS, 0)}
+        return LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
     # per start: d real parts, then d imaginary parts, drawn start after start
     draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
     R0 = draws[:, 0] + 1j * draws[:, 1]
@@ -329,7 +346,7 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
             run = tuple(np.concatenate(pair) for pair in zip(run, rest))
     else:
         run = _descend(p, k, R0, config, tol)
-    r, f, hit, converged = run
+    r, f, hit, converged, reason = run
     found: list[tuple[ProjectivePoint, float]] = []
     for coords, residual in zip(r[hit], f[hit]):
         candidate = ProjectivePoint.of(coords)
@@ -340,6 +357,8 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     points = tuple(q for q, _ in found)
     residuals = tuple(f for _, f in found)
     stats = {"starts": config.starts, "converged": int(converged.sum())}
+    ended = reason.tolist()
+    stats.update((x, ended.count(x)) for x in _REASONS)
     return LocusSample(points, residuals, stats, trivial=False,
                        min_residual_seen=f.min() if f.size else float("inf"))
 

@@ -65,6 +65,8 @@ class GenericityQuery:
             raise ParameterOutOfRange(f"rank r={self.r} outside [1, {self.m * self.n}]")
         if self.trials < 0:
             raise ParameterOutOfRange("trials must be nonnegative")
+        if self.seed < 0:
+            raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

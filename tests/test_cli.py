@@ -269,9 +269,12 @@ def test_malformed_state_file_exits_2(tmp_path, doc):
     ("majorize", "--p", "0.5,nan,0.5", "--target", fixture("maximally_mixed_2x2.json")),
     ("majorize", "--target", fixture("bell.json"), "--components", fixture("bell.json"),
      fixture("bell.json"), "--weights", "0.5,nan"),
+    ("--seed", "-1", "locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "2"),
+    ("--seed", "-1", "genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "2",
+     "--trials", "1"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
-        "weights_nan"])
+        "weights_nan", "locus_seed_negative", "genericity_seed_negative"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOutOfRange,
-                     ToleranceConfig, density_from_ensemble, eigen_ensemble, hermitian_form,
+                     ToleranceConfig, check_component_necessary, density_from_ensemble, eigen_ensemble, hermitian_form,
                      in_locus, is_locus_empty, local_dimension, locus_zero, make_ensemble,
                      make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
                      rank_at, sample_locus)
@@ -169,6 +169,11 @@ def test_search_config_rejects_no_starts():
             SearchConfig(starts=starts)
 
 
+def test_search_config_rejects_negative_seed():
+    with pytest.raises(ParameterOutOfRange):
+        SearchConfig(seed=-1)
+
+
 def test_sample_locus_example4_line():
     p = pencil_of("example4.json")
     sample = sample_locus(p, 2, CONFIG, TOL)
@@ -194,31 +199,60 @@ def generic_pencil():
     return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
 
 
-@pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic"])
+def empty_locus_pencil():
+    # a generic rank-4 4x4 state has an empty rank-2 locus (acceptance criterion
+    # 8), so every start runs until its stopping rule gives up
+    rho = random_density(BipartiteShape(4, 4), 4, seed=[8, 0])
+    return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
+
+
+@pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty"])
 def test_search_kernel_has_no_width_dependence(name):
-    p = generic_pencil() if name == "generic" else pencil_of(name)
+    p = {"generic": generic_pencil, "empty": empty_locus_pencil}.get(name, lambda: pencil_of(name))()
     config = SearchConfig(starts=24, seed=3)
     # the 24 starts sample_locus draws for this seed
     draws = np.random.default_rng(config.seed).standard_normal((24, 2, p.ambient_dim))
     R0 = draws[:, 0] + 1j * draws[:, 1]
-    r, f, hit, converged = _descend(p, 2, R0, config, TOL)
-    assert hit.any()
+    r, f, hit, converged, reason = _descend(p, 2, R0, config, TOL)
+    if name == "empty":
+        assert not hit.any() and "stalled" in reason
+    else:
+        assert hit.any()
     for i in range(24):
-        r_i, f_i, hit_i, converged_i = _descend(p, 2, R0[i:i + 1], config, TOL)
+        r_i, f_i, hit_i, converged_i, reason_i = _descend(p, 2, R0[i:i + 1], config, TOL)
         assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
-        assert (hit_i[0], converged_i[0]) == (hit[i], converged[i])
+        assert (hit_i[0], converged_i[0], reason_i[0]) == (hit[i], converged[i], reason[i])
 
-    first = int(np.argmax(hit))
+    # with stop_at_first the run ends at the first hit, or at the last start
+    first = int(np.argmax(hit)) if hit.any() else 23
     config = replace(config, stop_at_first=True)
-    r_s, f_s, hit_s, _ = _descend(p, 2, R0, config, TOL)
+    r_s, f_s, hit_s, _, reason_s = _descend(p, 2, R0, config, TOL)
     assert np.array_equal(r_s, r[:first + 1]) and np.array_equal(f_s, f[:first + 1])
-    assert np.array_equal(hit_s, hit[:first + 1])
+    assert np.array_equal(hit_s, hit[:first + 1]) and np.array_equal(reason_s, reason[:first + 1])
 
     sample = sample_locus(p, 2, config, TOL)
-    assert len(sample.points) == 1
-    assert np.array_equal(sample.points[0].coords, ProjectivePoint.of(r[first]).coords)
-    assert sample.residuals == (f[first],)
-    assert sample.search_stats == {"starts": 24, "converged": int(converged[:first + 1].sum())}
+    if hit.any():
+        assert len(sample.points) == 1
+        assert np.array_equal(sample.points[0].coords, ProjectivePoint.of(r[first]).coords)
+        assert sample.residuals == (f[first],)
+    else:
+        assert sample.points == () and sample.min_residual_seen == f.min()
+    ran = reason[:first + 1].tolist()
+    counts = {x: ran.count(x) for x in ("hit", "stalled", "max_iter", "step_tol")}
+    assert sum(counts.values()) == first + 1
+    assert sample.search_stats == {"starts": 24, "converged": int(converged[:first + 1].sum()),
+                                   **counts}
+
+
+def test_stall_rule_keeps_every_hit():
+    # the hit counts of the rule without a stall test, at the CLI's defaults
+    config = SearchConfig(starts=64, seed=0)
+    assert len(sample_locus(pencil_of("example4.json"), 2, config, TOL).points) >= 46
+    assert len(sample_locus(pencil_of("example2_target.json"), 2, config, TOL).points) >= 54
+    verdict = check_component_necessary(load_fixture("example2_target.json").density,
+                                        load_fixture("example2_component.json").density,
+                                        "A", None, config, TOL)
+    assert verdict.status == "INFEASIBLE"
 
 
 def test_sample_locus_trivial_k():

@@ -217,6 +217,8 @@ def test_generic_empty_predicate():
     assert generic_empty_predicate(GenericityQuery(5, 5, 3, 0, 0))
     with pytest.raises(ParameterOutOfRange):
         generic_empty_predicate(GenericityQuery(3, 3, 2, 2, 0))
+    with pytest.raises(ParameterOutOfRange):
+        GenericityQuery(3, 3, 3, 2, 1, seed=-1)
 
 
 def test_generic_empty_predicate_quadratic_identity():
