@@ -8,11 +8,11 @@ from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoi
                    local_dimension, locus_zero, pencil_from_ensemble, rank_at,
                    sample_locus)
 from .mixing import (GenericityQuery, GenericityReport, MixCertificate, MixVerdict,
-                     ZeroLoci, check_component_necessary, check_ensemble_schmidt,
-                     check_mixed_mix_eigen, check_pure_mix_eigen,
+                     RangeContainment, ZeroLoci, check_component_necessary,
+                     check_ensemble_schmidt, check_mixed_mix_eigen, check_pure_mix_eigen,
                      check_reduced_constraints, excludes_max_schmidt_rank,
                      forces_separable, generic_empty_predicate, majorizes,
-                     monte_carlo_genericity, schmidt_rank_cap)
+                     monte_carlo_genericity, range_containment, schmidt_rank_cap)
 from .numeric import (EigResult, SVDResult, ToleranceConfig, hermitian_eig,
                       null_space, numerical_rank, svd)
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,

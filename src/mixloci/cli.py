@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 
 import numpy as np
@@ -157,6 +158,11 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
     else:
         data = {"search_stats": {str(kk): st for kk, st in verdict.stats.items()}}
         human = "NO_OBSTRUCTION_FOUND (not a feasibility proof)"
+        if verdict.range_test.contained:
+            human = (f"NO_OBSTRUCTION_FOUND: range containment proven (leak "
+                     f"{verdict.range_test.leak:.1e}), so no locus scan; the component "
+                     f"can appear with weight up to p_max={verdict.range_test.p_max:.6g}")
+    data["range"] = asdict(verdict.range_test)
     return _emit(args, _report(args, "check-mix", inputs, verdict.status, data), human)
 
 

@@ -2,14 +2,13 @@
 
 A pencil is the linear family r -> sum_i r_i A_i built from the blocks of an
 ensemble's amplitude matrix.  The locus with rank bound k is handled exactly
-for k = 0 (a linear condition) and by multistart minimization of the
-(k+1)-th singular value for k >= 1.
+for k = 0 (a linear condition) and for k >= 1 by a multistart Gauss-Newton
+search for points where the (k+1)-th singular value vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Literal
 
 import numpy as np
@@ -24,15 +23,13 @@ __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchCon
 
 _POINT_TOL = 1e-9
 
-# The descent's stopping rule, per start (see _descend), and the search's output cap.
-_MAX_ITER = 500  # accepted steps
-_MAX_HALVINGS = 60  # step halvings per accepted step
-_STEP_TOL = 1e-12  # smallest move of a trial point
-_ARMIJO = 1e-4  # sufficient-decrease constant
-_F_TOL = 1e-14  # sigma_{k+1} below this ends the descent
-_GNORM_TOL = 1e-16  # a projected gradient norm below this ends the descent
-_STALL_WINDOW = 10  # accepted steps over which a stall is judged
-_STALL_RTOL = 1e-6  # f falling by less than this times f over the window is a stall
+# The search's stopping rule, per start (see _descend), and its output cap.
+_MAX_ITER = 500  # kernel rounds
+_STEP_TOL = 1e-12  # a shorter Gauss-Newton step ends the start
+_POLISH = 1e-3  # sigma_{k+1} at or below this times the rank threshold ends the start
+_RCOND = 1e-12  # relative cut on the singular values of the projected normal map
+_STALL_WINDOW = 10  # rounds over which a stall is judged
+_STALL_RTOL = 1e-6  # the best f falling by less than this times f over the window is a stall
 _MAX_CLUSTERS = 64  # distinct points a search reports
 _REASONS = ("hit", "stalled", "max_iter", "step_tol")  # why a start stopped
 
@@ -208,118 +205,99 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_sum(parts * parts))
 
 
-def _sigma_and_grad(p: Pencil, R: np.ndarray, k: int, blocks_conj: np.ndarray):
-    """For each row r of R: sigma_{k+1}(M(r)), sigma_max(M(r)) and the complex
-    gradient of sigma_{k+1} over the coordinates.  blocks_conj is p.blocks.conj()."""
-    U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=False)
-    # d sigma = Re(u^dag (sum dr_i A_i) v) with u = U[:, k] and v = Vh[k]^dag; the
-    # steepest direction is conj(u^dag A_i v) = sum_ab u_a conj(A_i)_ab Vh[k]_b
-    inner = _row_sum(blocks_conj * Vh[:, k, None, None, :])
-    return s[:, k], s[:, 0], _row_sum(inner * U[:, None, :, k])
+def _normal_map(p: Pencil, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r of R: the singular values s of M(r) = U S V^dagger and the
+    normal map J, column i vec(U0^dagger A_i V0) with U0 = U[:, k:] and
+    V0 = V[:, k:]; M is linear, so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.
+    The SVD is full: a thin V lacks the directions M kills when cols > rows."""
+    U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=True)
+    U0h = U[..., k:].conj().swapaxes(-1, -2)  # (S, rows-k, rows)
+    V0t = Vh[..., k:, :].conj()  # (S, cols-k, cols): V0 transposed
+    left = _row_sum(U0h[:, None, :, None, :] * p.blocks.swapaxes(-1, -2)[None, :, None])
+    J = _row_sum(left[:, :, :, None, :] * V0t[:, None, None])  # (S, d, rows-k, cols-k)
+    return s, J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
+
+
+def _gauss_newton_step(J: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row, dr = -pinv(J (I - r r^dagger)) b by one stacked SVD: the least
+    ||b + J dr|| of least norm, orthogonal to r (the projected J kills r)."""
+    Jr = _row_sum(J * r[:, None, :])
+    W, sigma, Vh = np.linalg.svd(J - Jr[:, :, None] * r.conj()[:, None, :], full_matrices=False)
+    kept = sigma > _RCOND * sigma[:, :1]
+    coeffs = _row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :])
+    coeffs = np.where(kept, coeffs / np.where(kept, sigma, 1.0), 0.0)
+    return -_row_sum(Vh.conj().swapaxes(-1, -2) * coeffs[:, None, :])
 
 
 def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
              tol: ToleranceConfig):
-    """Projected gradient descent with backtracking on the unit sphere, all
-    starts (rows of R0) in lockstep.
+    """Riemannian Gauss-Newton on the rank-k locus, all starts (rows of R0)
+    in lockstep.  A round moves each live start by the step dr of its normal
+    map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
+    sigma_{k+1} <= _POLISH times the rank threshold, after _MAX_ITER rounds,
+    when |dr| < _STEP_TOL, or when its best f fell by less than _STALL_RTOL f
+    over the last _STALL_WINDOW rounds.  Sums are row sums and SVDs stacked
+    (one LAPACK call per matrix), so no path depends on the batch.
 
-    Per start the rule is that of a plain loop, with the constants above: at
-    most _MAX_ITER accepted steps; stop when f < _F_TOL, the projected
-    gradient norm < _GNORM_TOL, or f has fallen by less than _STALL_RTOL f
-    over the last _STALL_WINDOW accepted steps; from step alpha, halve up to
-    _MAX_HALVINGS times until the Armijo condition (_ARMIJO) holds, and stop
-    if none does or the trial moves less than _STEP_TOL; after an accepted
-    step, alpha = min(2 step, 1).  Each round proposes one trial per live
-    start and makes one batched pencil evaluation, SVD and gradient for them.
-    A start leaves the batch when it stops.  Vectors are batched numpy rows
-    whose arithmetic never mixes rows; the per-start scalars are Python
-    floats, which cost far less than numpy calls at width 1.  So a start's
-    trajectory does not depend on the batch it shares.
-
-    Returns arrays (r, f, hit, converged, reason) over the starts.  reason is
-    "hit" where a start ends on the locus, else what stopped it: "stalled" (a
-    stall, or f or the gradient below its floor), "step_tol" (no acceptable
-    step) or "max_iter"; all but the last count as converged.  With
-    config.stop_at_first they end at the lowest-index start that hits (if
-    none does, at the last start), and the starts after it are dropped once
-    every start before it has stopped.
+    Returns arrays (r, f, hit, converged, reason, rounds) over the starts:
+    each start's point of least f, that f, whether f is within the rank
+    threshold, why it stopped ("hit", or "stalled", "step_tol", "max_iter";
+    all but the last count as converged) and its rounds.  With
+    config.stop_at_first they end at the lowest-index start that hits (else
+    at the last start); the starts after it are dropped once every start
+    before it has stopped.
     """
     rows, cols = p.block_shape
-    blocks_conj = p.blocks.conj()
+    diag = np.arange(min(rows, cols) - k)
     R0 = np.ascontiguousarray(R0, dtype=complex)
     S = end = len(R0)
     r = R0 / _row_norm(R0)[:, None]
-    f, smax, g = _sigma_and_grad(p, r, k, blocks_conj)
-    f, smax = f.tolist(), smax.tolist()
-    history = [[x] for x in f]  # per start: f at the start and after each accepted step
-    r_out = np.empty_like(r)
-    gt = np.zeros_like(r)
-    gnorm, step, alpha = [0.0] * S, [0.0] * S, [1.0] * S
-    outer, halvings = [0] * S, [0] * S
+    r_best = np.empty_like(r)
+    f_best, smax_best = [np.inf] * S, [0.0] * S
+    history = [[] for _ in range(S)]  # per start: its best f after each round
     hit, converged = [False] * S, [False] * S
     reason = [""] * S  # empty while the start runs
-    ids = list(range(S))  # live starts; row j of r, g, gt belongs to start ids[j]
-    fresh = [True] * S  # per live row: a step was just accepted (or none yet)
+    ids = list(range(S))  # live starts; row j of r belongs to start ids[j]
     while ids:
-        # None: the start goes on; else why it stops
-        stop = [None] * len(ids)
-        if any(fresh):
-            began = g - _row_sum(r.conj() * g)[:, None] * r
-            gt = began if all(fresh) else np.where(np.array(fresh)[:, None], began, gt)
-            norms = _row_norm(gt).tolist()
-            for j, i in enumerate(ids):
-                if fresh[j]:
-                    gnorm[i], step[i], halvings[i] = norms[j], alpha[i], 0
-                    if outer[i] >= _MAX_ITER:
-                        stop[j] = "max_iter"
-                    elif (f[i] < _F_TOL or gnorm[i] < _GNORM_TOL or (
-                            outer[i] >= _STALL_WINDOW
-                            and history[i][-_STALL_WINDOW - 1] - f[i] < _STALL_RTOL * f[i])):
-                        stop[j] = "stalled"
-        trial = r - np.array([step[i] for i in ids])[:, None] * gt
-        trial /= _row_norm(trial)[:, None]
-        moved = _row_norm(trial - r).tolist()
+        s, J = _normal_map(p, r, k)
+        b = np.zeros((len(ids), rows - k, cols - k), dtype=complex)
+        b[:, diag, diag] = s[:, k:]
+        dr = _gauss_newton_step(J, b.reshape(len(ids), -1), r)
+        f, smax, moved = s[:, k].tolist(), s[:, 0].tolist(), _row_norm(dr).tolist()
+        stop = [None] * len(ids)  # None: the start goes on; else why it stops
         for j, i in enumerate(ids):
-            if stop[j] is None and (halvings[i] >= _MAX_HALVINGS or moved[j] < _STEP_TOL):
+            if f[j] < f_best[i]:
+                f_best[i], smax_best[i] = f[j], smax[j]
+                r_best[i] = r[j]
+            history[i].append(f_best[i])
+            if f[j] <= _POLISH * tol.threshold_from_sigma(smax[j], rows, cols):
+                stop[j] = "hit"
+            elif len(history[i]) >= _MAX_ITER:
+                stop[j] = "max_iter"
+            elif moved[j] < _STEP_TOL:
                 stop[j] = "step_tol"
-        if any(x is not None for x in stop):
+            elif (len(history[i]) > _STALL_WINDOW and
+                  history[i][-_STALL_WINDOW - 1] - f_best[i] < _STALL_RTOL * f_best[i]):
+                stop[j] = "stalled"
+        if any(stop):
             for j, i in enumerate(ids):
-                if stop[j] is not None:
-                    r_out[i] = r[j]
+                if stop[j]:
                     converged[i] = stop[j] != "max_iter"
-                    hit[i] = f[i] <= tol.threshold_from_sigma(smax[i], rows, cols)
+                    hit[i] = f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols)
                     reason[i] = "hit" if hit[i] else stop[j]
             if config.stop_at_first:
                 first = next((i for i in range(S) if hit[i] or not reason[i]), S)
                 if first < S and hit[first]:
                     end = first + 1
                     break
-            keep = [j for j, x in enumerate(stop) if x is None]
-            ids = [ids[j] for j in keep]
-            r, g, gt, trial = r[keep], g[keep], gt[keep], trial[keep]
-            if not ids:
-                break
-        ft, smax_t, g_t = _sigma_and_grad(p, trial, k, blocks_conj)
-        ft, smax_t = ft.tolist(), smax_t.tolist()
-        fresh = []
-        for j, i in enumerate(ids):
-            accept = ft[j] < f[i] - _ARMIJO * step[i] * gnorm[i] * gnorm[i]
-            if accept:
-                f[i], smax[i] = ft[j], smax_t[j]
-                history[i].append(ft[j])
-                alpha[i] = min(step[i] * 2.0, 1.0)
-                outer[i] += 1
-            else:
-                step[i] /= 2.0
-                halvings[i] += 1
-            fresh.append(accept)
-        if all(fresh):
-            r, g = trial, g_t
-        elif any(fresh):
-            taken = np.array(fresh)[:, None]
-            r, g = np.where(taken, trial, r), np.where(taken, g_t, g)
-    return (r_out[:end], np.array(f[:end]), np.array(hit[:end], dtype=bool),
-            np.array(converged[:end], dtype=bool), np.array(reason[:end]))
+            kept = [j for j, x in enumerate(stop) if x is None]
+            ids = [ids[j] for j in kept]
+            r, dr = r[kept], dr[kept]
+        r = r + dr
+        r /= _row_norm(r)[:, None]
+    return (r_best[:end], np.array(f_best[:end]), np.array(hit[:end], dtype=bool),
+            np.array(converged[:end], dtype=bool), np.array(reason[:end]),
+            np.array([len(h) for h in history[:end]]))
 
 
 def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
@@ -332,7 +310,7 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
         raise InvalidK("rank bound k must be nonnegative")
     if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
         # every point is on the locus: k reaches the block size, or the pencil is zero
-        stats = {"starts": 0, "converged": 0, **dict.fromkeys(_REASONS, 0)}
+        stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}
         return LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
     # per start: d real parts, then d imaginary parts, drawn start after start
     draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
@@ -340,13 +318,12 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     if config.stop_at_first:
         # start 0 alone first: where the locus has points it usually hits, and
         # the other starts never run
-        run = _descend(p, k, R0[:1], config, tol)
-        if not run[2].any():
-            rest = _descend(p, k, R0[1:], config, tol)
-            run = tuple(np.concatenate(pair) for pair in zip(run, rest))
+        runs = [_descend(p, k, R0[:1], config, tol)]
+        if not runs[0][2].any():
+            runs.append(_descend(p, k, R0[1:], config, tol))
     else:
-        run = _descend(p, k, R0, config, tol)
-    r, f, hit, converged, reason = run
+        runs = [_descend(p, k, R0, config, tol)]
+    r, f, hit, converged, reason, _ = (np.concatenate(parts) for parts in zip(*runs))
     found: list[tuple[ProjectivePoint, float]] = []
     for coords, residual in zip(r[hit], f[hit]):
         candidate = ProjectivePoint.of(coords)
@@ -356,50 +333,27 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     found = found[:_MAX_CLUSTERS]
     points = tuple(q for q, _ in found)
     residuals = tuple(f for _, f in found)
-    stats = {"starts": config.starts, "converged": int(converged.sum())}
+    # a call's rounds are those of its longest-running start
+    stats = {"starts": config.starts, "converged": int(converged.sum()),
+             "rounds": sum(int(run[5].max(initial=0)) for run in runs)}
     ended = reason.tolist()
     stats.update((x, ended.count(x)) for x in _REASONS)
     return LocusSample(points, residuals, stats, trivial=False,
                        min_residual_seen=f.min() if f.size else float("inf"))
 
 
-def _minor_jacobian(p: Pencil, r: np.ndarray, k: int) -> np.ndarray:
-    """Complex Jacobian of all (k+1)x(k+1) minors of the pencil at r."""
-    rows, cols = p.block_shape
-    M = p.evaluate(r)
-    size = k + 1
-    row_sets = list(combinations(range(rows), size))
-    col_sets = list(combinations(range(cols), size))
-    jac = np.zeros((len(row_sets) * len(col_sets), p.ambient_dim), dtype=complex)
-    idx = 0
-    for R in row_sets:
-        for C in col_sets:
-            S = M[np.ix_(R, C)]
-            cof = np.zeros((size, size), dtype=complex)
-            for a in range(size):
-                for b in range(size):
-                    sub = np.delete(np.delete(S, a, axis=0), b, axis=1)
-                    det = np.linalg.det(sub) if size > 1 else 1.0
-                    cof[a, b] = (-1) ** (a + b) * det
-            # Jacobi's formula: d det(S)/dr_i = sum_ab cofactor_ab * dS_ab/dr_i
-            sub_blocks = p.blocks[:, R, :][:, :, C]
-            jac[idx] = np.einsum("ab,iab->i", cof, sub_blocks)
-            idx += 1
-    return jac
-
-
 def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
                     tol: ToleranceConfig = ToleranceConfig()) -> int:
-    """Estimated projective dimension of the rank-k locus at a member point.
-
-    The minors are holomorphic in the coordinates, so the real-parameterized
-    Jacobian rank is twice the complex one; quotienting the scaling direction
-    leaves ambient-1 minus the complex Jacobian rank.
-    """
+    """Estimated projective dimension of the rank-k locus at a member point:
+    ambient - 1 - rank(J), J the normal map, whose null space (holding r) is
+    the tangent space where M has rank k.  Below rank k every (k+1)-minor
+    vanishes to second order, so the estimate is the bound ambient - 1."""
     if not in_locus(p, k, point, tol):
         raise NotOnLocus("point is not on the requested locus")
-    jac = _minor_jacobian(p, point.coords, k)
-    return p.ambient_dim - 1 - numerical_rank(jac, tol)
+    s, J = _normal_map(p, point.coords[None], k)
+    if tol.rank(s[0], *p.block_shape) < k:
+        return p.ambient_dim - 1
+    return p.ambient_dim - 1 - numerical_rank(J[0], tol)
 
 
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),

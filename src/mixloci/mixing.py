@@ -17,12 +17,12 @@ from .loci import (Pencil, ProjectivePoint, SearchConfig, is_locus_empty, locus_
                    pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, eigen_ensemble,
-                     partial_trace, random_density, schmidt_rank)
+                     partial_trace, random_density, schmidt_rank, support)
 
-__all__ = ["MixCertificate", "MixVerdict", "GenericityQuery", "GenericityReport",
-           "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
-           "check_reduced_constraints", "check_component_necessary", "ZeroLoci",
-           "schmidt_rank_cap", "forces_separable", "excludes_max_schmidt_rank",
+__all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
+           "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
+           "check_reduced_constraints", "range_containment", "check_component_necessary",
+           "ZeroLoci", "schmidt_rank_cap", "forces_separable", "excludes_max_schmidt_rank",
            "check_ensemble_schmidt", "generic_empty_predicate", "monte_carlo_genericity"]
 
 _SUM_TOL = 1e-9
@@ -43,10 +43,22 @@ class MixCertificate:
 
 
 @dataclass(frozen=True)
+class RangeContainment:
+    """leak = ||(I - P_target) V_component||_2 over kept eigenvectors.  When
+    contained, p_max = 1 / lambda_max(rho^{+1/2} rho_c rho^{+1/2}) is the
+    component's largest weight in a mixture equal to rho (Hughston-Jozsa-Wootters)."""
+
+    contained: bool
+    leak: float
+    p_max: float | None = None
+
+
+@dataclass(frozen=True)
 class MixVerdict:
     status: Literal["INFEASIBLE", "NO_OBSTRUCTION_FOUND"]
     certificate: MixCertificate | None = None
     stats: dict = field(default_factory=dict)
+    range_test: RangeContainment | None = None
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,24 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
     return list(sample.points), stats
 
 
+def range_containment(target: DensityMatrix, component: DensityMatrix,
+                      tol: ToleranceConfig = ToleranceConfig()) -> RangeContainment:
+    """Range test on the stored spectra cut as eigen_ensemble cuts them.  Within
+    a unit matrix's rank threshold over the guard band (0 at full rank), a
+    leak counts as none."""
+    t, c = support(target, tol), support(component, tol)
+    dim = target.shape.dim
+    overlap = t.eigenvectors.conj().T @ c.eigenvectors
+    leak = 0.0
+    if t.eigenvalues.size < dim:
+        leak = float(singular_values(c.eigenvectors - t.eigenvectors @ overlap)[0])
+    if leak > tol.threshold_from_sigma(1.0, dim, dim) / _GUARD:
+        return RangeContainment(False, leak)
+    # rho^{+1/2} rho_c rho^{+1/2} = W W^dagger in the target's eigenbasis
+    W = overlap * np.sqrt(c.eigenvalues) / np.sqrt(t.eigenvalues)[:, None]
+    return RangeContainment(True, leak, float(1.0 / singular_values(W)[0] ** 2))
+
+
 def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
                               side: Side = "A", k: int | None = None,
                               config: SearchConfig = SearchConfig(),
@@ -197,11 +227,12 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     can make `component` appear in any mixture equal to `target`.  With k=None
     every admissible rank bound is scanned, cheapest (exact k=0) first.
     A NO_OBSTRUCTION_FOUND verdict is a semidecision, not a feasibility proof.
+    When range(component) lies in range(target), V^k(target) lies in every
+    V^k(component), so no scan can certify and none runs.
     """
     if target.shape != component.shape:
         raise ShapeMismatch("target and component shapes differ")
     target_pencil = pencil_from_ensemble(eigen_ensemble(target, tol), side)
-    component_pencil = pencil_from_ensemble(eigen_ensemble(component, tol), side)
     max_k = target_pencil.max_rank_bound()
     if k is None:
         ks = range(0, max_k)
@@ -209,6 +240,10 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         if not 0 <= k < max_k:
             raise InvalidK(f"k={k} outside [0, {max_k})")
         ks = [k]
+    range_test = range_containment(target, component, tol)
+    if range_test.contained:
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test)
+    component_pencil = pencil_from_ensemble(eigen_ensemble(component, tol), side)
     all_stats = {}
     for kk in ks:
         points, stats = _locus_candidates(target_pencil, kk, config, tol)
@@ -216,8 +251,8 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         for point in points:
             cert = _certificate_at(point, target_pencil, component_pencil, side, kk, tol)
             if cert is not None:
-                return MixVerdict("INFEASIBLE", certificate=cert, stats=all_stats)
-    return MixVerdict("NO_OBSTRUCTION_FOUND", stats=all_stats)
+                return MixVerdict("INFEASIBLE", cert, all_stats, range_test)
+    return MixVerdict("NO_OBSTRUCTION_FOUND", stats=all_stats, range_test=range_test)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numer
 
 __all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
            "SchmidtDecomposition", "make_pure", "make_ensemble", "schmidt", "schmidt_rank",
-           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "mix",
-           "partial_trace", "random_pure", "random_density"]
+           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "support",
+           "mix", "partial_trace", "random_pure", "random_density"]
 
 Side = Literal["A", "B"]
 
@@ -157,16 +157,20 @@ def density_from_ensemble(e: Ensemble) -> DensityMatrix:
     return density_matrix_from_array(matrix, e.shape)
 
 
-def eigen_ensemble(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> Ensemble:
-    """Canonical spectral ensemble: eigenvectors weighted by eigenvalues above threshold."""
+def support(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> EigResult:
+    """rho's stored eigenpairs above the rank threshold: eigen_ensemble's
+    members, and a basis of rho's range."""
     eig, dim = rho.spectrum, rho.shape.dim
     norm = max(abs(eig.eigenvalues[0]), abs(eig.eigenvalues[-1]))  # spectral norm of rho
-    cut = tol.threshold_from_sigma(norm, dim, dim)
-    members = []
-    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam > cut:
-            members.append((float(lam), PureState(rho.shape, vec.copy())))
-    return make_ensemble(rho.shape, members)
+    kept = eig.eigenvalues > tol.threshold_from_sigma(norm, dim, dim)
+    return EigResult(eig.eigenvalues[kept], eig.eigenvectors[:, kept])
+
+
+def eigen_ensemble(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> Ensemble:
+    """Canonical spectral ensemble: eigenvectors weighted by eigenvalues above threshold."""
+    kept = support(rho, tol)
+    return make_ensemble(rho.shape, [(float(lam), PureState(rho.shape, vec.copy()))
+                                     for lam, vec in zip(kept.eigenvalues, kept.eigenvectors.T)])
 
 
 def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMatrix:

@@ -13,11 +13,15 @@ from conftest import FIXTURES
 
 from mixloci.io import load_state
 
+SRC = FIXTURES.parent / "src"
+
 
 def run_cli(*args, check=True, env=None):
+    # the child imports this checkout's package, whether or not it is installed
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
     completed = subprocess.run(
         [sys.executable, "-m", "mixloci.cli", *map(str, args)],
-        capture_output=True, text=True, env=None if env is None else {**os.environ, **env})
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **(env or {})})
     if check:
         assert completed.returncode == 0, completed.stderr
     return completed
@@ -61,13 +65,19 @@ def test_check_mix_example2():
     witness = np.array([complex(re, im) for re, im in doc["data"]["witness"]])
     assert abs(witness[0]) <= 1e-8
     assert doc["data"]["rank_in_component"] == 3
+    assert doc["data"]["range"]["contained"] is False and doc["data"]["range"]["p_max"] is None
 
 
 def test_check_mix_identical_files():
-    out = run_cli("--json", "check-mix", "--target", fixture("example2_target.json"),
-                  "--component", fixture("example2_target.json"), "--k", "all",
-                  "--starts", "8")
-    assert json.loads(out.stdout)["verdict"] == "NO_OBSTRUCTION_FOUND"
+    args = ("check-mix", "--target", fixture("example2_target.json"),
+            "--component", fixture("example2_target.json"), "--k", "all", "--starts", "8")
+    doc = json.loads(run_cli("--json", *args).stdout)
+    assert doc["verdict"] == "NO_OBSTRUCTION_FOUND"
+    # range containment is proven, so no locus is scanned
+    assert doc["data"]["search_stats"] == {}
+    assert doc["data"]["range"]["contained"] is True
+    assert doc["data"]["range"]["p_max"] == pytest.approx(1.0, abs=1e-9)
+    assert "containment proven" in run_cli(*args).stdout
 
 
 def test_bounds_examples():
@@ -148,7 +158,9 @@ def test_json_output_identical_across_blas_threads():
     for args in (("--json", "locus", "--state", fixture("example4.json"), "--k", "2",
                   "--starts", "16"),
                  ("--json", "--seed", "5", "genericity", "--m", "3", "--n", "3", "--r", "3",
-                  "--t", "2", "--trials", "2")):
+                  "--t", "2", "--trials", "2"),
+                 ("--json", "check-mix", "--target", fixture("example2_target.json"),
+                  "--component", fixture("example2_target.json"))):
         one, two = (run_cli(*args, env={"OPENBLAS_NUM_THREADS": threads}).stdout
                     for threads in ("1", "2"))
         assert one == two

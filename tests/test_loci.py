@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -213,20 +214,22 @@ def test_search_kernel_has_no_width_dependence(name):
     # the 24 starts sample_locus draws for this seed
     draws = np.random.default_rng(config.seed).standard_normal((24, 2, p.ambient_dim))
     R0 = draws[:, 0] + 1j * draws[:, 1]
-    r, f, hit, converged, reason = _descend(p, 2, R0, config, TOL)
+    r, f, hit, converged, reason, rounds = _descend(p, 2, R0, config, TOL)
     if name == "empty":
         assert not hit.any() and "stalled" in reason
     else:
         assert hit.any()
     for i in range(24):
-        r_i, f_i, hit_i, converged_i, reason_i = _descend(p, 2, R0[i:i + 1], config, TOL)
+        r_i, f_i, hit_i, converged_i, reason_i, rounds_i = _descend(p, 2, R0[i:i + 1], config,
+                                                                    TOL)
         assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
-        assert (hit_i[0], converged_i[0], reason_i[0]) == (hit[i], converged[i], reason[i])
+        assert (hit_i[0], converged_i[0], reason_i[0], rounds_i[0]) \
+            == (hit[i], converged[i], reason[i], rounds[i])
 
     # with stop_at_first the run ends at the first hit, or at the last start
     first = int(np.argmax(hit)) if hit.any() else 23
     config = replace(config, stop_at_first=True)
-    r_s, f_s, hit_s, _, reason_s = _descend(p, 2, R0, config, TOL)
+    r_s, f_s, hit_s, _, reason_s, _ = _descend(p, 2, R0, config, TOL)
     assert np.array_equal(r_s, r[:first + 1]) and np.array_equal(f_s, f[:first + 1])
     assert np.array_equal(hit_s, hit[:first + 1]) and np.array_equal(reason_s, reason[:first + 1])
 
@@ -240,8 +243,11 @@ def test_search_kernel_has_no_width_dependence(name):
     ran = reason[:first + 1].tolist()
     counts = {x: ran.count(x) for x in ("hit", "stalled", "max_iter", "step_tol")}
     assert sum(counts.values()) == first + 1
+    # start 0 runs alone, then (if it misses) starts 1.. in one batch, which
+    # lasts as long as its longest-running start up to the first hit
+    expected_rounds = rounds[0] + (rounds[1:first + 1].max() if first else 0)
     assert sample.search_stats == {"starts": 24, "converged": int(converged[:first + 1].sum()),
-                                   **counts}
+                                   "rounds": expected_rounds, **counts}
 
 
 def test_stall_rule_keeps_every_hit():
@@ -253,6 +259,22 @@ def test_stall_rule_keeps_every_hit():
                                         load_fixture("example2_component.json").density,
                                         "A", None, config, TOL)
     assert verdict.status == "INFEASIBLE"
+
+
+def test_search_hits_every_start_and_polishes_its_points():
+    # the CLI's defaults; a point found at the rank threshold itself can fail a
+    # recheck on another factor of rho, so each must lie 10x inside it
+    config = SearchConfig(starts=64, seed=0)
+    for name in ("example4.json", "example2_target.json"):
+        p = pencil_of(name)
+        sample = sample_locus(p, 2, config, TOL)
+        assert sample.search_stats["hit"] == 64
+        for pt in sample.points:
+            M = p.evaluate(pt.coords)
+            assert np.linalg.svd(M, compute_uv=False)[2] <= TOL.threshold(M) / 10
+        if name == "example4.json":
+            # the isolated point of the rank-2 locus, off the line r1 = r2 = 0
+            assert any(pt.same_point(point(0, 1, 0, 0)) for pt in sample.points)
 
 
 def test_sample_locus_trivial_k():
@@ -287,6 +309,46 @@ def test_local_dimension_matches_linear_case():
         locus = locus_zero(p, TOL)
         for pt in locus.points():
             assert local_dimension(p, 0, pt, TOL) == locus.projective_dimension
+
+
+def minor_jacobian_dimension(p, k, pt):
+    """Reference for local_dimension: ambient - 1 - rank of the Jacobian of
+    every (k+1)-minor, each by Jacobi's formula d det(S) = sum cof(S)_ab dS_ab."""
+    M = p.evaluate(pt.coords)
+    rows, cols = p.block_shape
+    jac = []
+    for R in combinations(range(rows), k + 1):
+        for C in combinations(range(cols), k + 1):
+            S = M[np.ix_(R, C)]
+            cof = [[(-1) ** (a + b) * np.linalg.det(np.delete(np.delete(S, a, 0), b, 1))
+                    if k else 1.0 for b in range(k + 1)] for a in range(k + 1)]
+            jac.append(np.einsum("ab,iab->i", np.array(cof), p.blocks[:, R, :][:, :, C]))
+    return p.ambient_dim - 1 - numerical_rank(np.array(jac), TOL)
+
+
+def test_local_dimension_matches_minor_jacobian():
+    config = SearchConfig(starts=64, seed=0)
+    cases = [(pencil_of("example1.json"), 0, point(1, -1), 0)]
+    # lines, and example4's isolated point (0:1:0:0), where sigma_3 grows like
+    # |r1|^2: the search ends ~5e-6 from it, where the estimate is 0
+    isolated = point(0, 1, 0, 0)
+    for name in ("example4.json", "example2_target.json"):
+        p = pencil_of(name)
+        cases += [(p, 2, pt, 0 if p.ambient_dim == 4 and pt.same_point(isolated) else 1)
+                  for pt in sample_locus(p, 2, config, TOL).points]
+    assert [local_dimension(p, k, pt, TOL) for p, k, pt, _ in cases] \
+        == [minor_jacobian_dimension(p, k, pt) for p, k, pt, _ in cases] \
+        == [dim for _, _, _, dim in cases]
+    assert sum(dim == 0 for _, k, _, dim in cases if k == 2) == 1
+
+
+def test_local_dimension_below_rank_k():
+    # example1's pencil vanishes at (1:-1): rank 0 < k = 1.  Every 2-minor
+    # vanishes to second order there, so the estimate is the bound ambient - 1
+    p = pencil_of("example1.json")
+    assert rank_at(p, point(1, -1), TOL) == 0
+    assert local_dimension(p, 1, point(1, -1), TOL) == p.ambient_dim - 1 \
+        == minor_jacobian_dimension(p, 1, point(1, -1))
 
 
 def test_local_dimension_not_on_locus():

@@ -124,6 +124,7 @@ def test_check_component_necessary_example2():
     assert cert.rank_in_target <= 2
     assert cert.rank_in_component == 3
     assert cert.residual_component >= 10 * cert.residual_target
+    assert not verdict.range_test.contained and verdict.range_test.leak > 0.1
 
 
 def test_check_component_necessary_reflexive():
@@ -143,6 +144,50 @@ def test_check_component_necessary_true_components():
             verdict = check_component_necessary(rho, comp, "A", None,
                                                 SearchConfig(starts=8, seed=trial), TOL)
             assert verdict.status == "NO_OBSTRUCTION_FOUND"
+
+
+def criterion_6_mixtures():
+    """The (mixture, component, weight) triples acceptance criterion 6 checks."""
+    rng = np.random.default_rng(46)
+    for shape in (S22, S33):
+        for trial in range(50):
+            comps = [random_density(shape, int(rng.integers(1, shape.dim + 1)),
+                                    seed=[46, shape.m, trial, j]) for j in range(2)]
+            w = rng.dirichlet(np.ones(2))
+            rho = mix(w, comps)
+            yield from ((rho, comp, weight) for comp, weight in zip(comps, w))
+            for _ in range(200):  # the test points criterion 6 draws
+                rng.standard_normal(shape.m), rng.standard_normal(shape.m)
+
+
+def test_range_gate_skips_the_scan_for_genuine_mixtures():
+    cases = list(criterion_6_mixtures())
+    for ranks in ((5, 3), (5, 4)):  # 3x3 mixtures of rank 8 and 9
+        comps = [random_density(S33, r, seed=[48, r, j]) for j, r in enumerate(ranks)]
+        cases += [(mix([0.4, 0.6], comps), comp, w) for comp, w in zip(comps, (0.4, 0.6))]
+    assert [c[0].eigenvalues().size - np.sum(c[0].eigenvalues() > 1e-9)
+            for c in cases[-4:]] == [1, 1, 0, 0]
+    for rho, comp, weight in cases:
+        verdict = check_component_necessary(rho, comp, "A", None, CONFIG, TOL)
+        assert verdict.status == "NO_OBSTRUCTION_FOUND" and verdict.stats == {}
+        gate = verdict.range_test
+        assert gate.contained and gate.leak <= 1e-9
+        # p_max is the largest p with rho - p comp >= 0, so at least comp's weight
+        assert gate.p_max >= weight * (1 - 1e-9)
+        assert np.linalg.eigvalsh(rho.matrix - gate.p_max * comp.matrix).min() >= -1e-9
+        assert np.linalg.eigvalsh(rho.matrix - 1.01 * gate.p_max * comp.matrix).min() < 0
+
+
+def test_range_gate_scans_a_component_leaking_out_of_range():
+    rho = random_density(S33, 8, seed=[48, 8])
+    kernel = rho.spectrum.eigenvectors[:, -1]
+    inside = rho.spectrum.eigenvectors[:, 0]
+    leaky = density_from_ensemble(make_ensemble(S33, [(1.0, make_pure(
+        inside + 1e-3 * kernel, S33))]))
+    verdict = check_component_necessary(rho, leaky, "A", None, CONFIG, TOL)
+    assert not verdict.range_test.contained and verdict.range_test.p_max is None
+    assert verdict.range_test.leak == pytest.approx(1e-3, rel=1e-3)
+    assert verdict.stats  # the locus scan ran
 
 
 def test_check_component_necessary_errors():
