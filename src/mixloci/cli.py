@@ -162,7 +162,11 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
             human = (f"NO_OBSTRUCTION_FOUND: range containment proven (leak "
                      f"{verdict.range_test.leak:.1e}), so no locus scan; the component "
                      f"can appear with weight up to p_max={verdict.range_test.p_max:.6g}")
+        elif verdict.refused:
+            human = (f"NO_OBSTRUCTION_FOUND: no locus scan, {verdict.refused} "
+                     "(not a feasibility proof)")
     data["range"] = asdict(verdict.range_test)
+    data["refused"] = verdict.refused
     return _emit(args, _report(args, "check-mix", inputs, verdict.status, data), human)
 
 

@@ -31,6 +31,7 @@ _RCOND = 1e-12  # relative cut on the singular values of the projected normal ma
 _STALL_WINDOW = 10  # rounds over which a stall is judged
 _STALL_RTOL = 1e-6  # the best f falling by less than this times f over the window is a stall
 _MAX_CLUSTERS = 64  # distinct points a search reports
+_MAX_STARTS = 4096  # largest SearchConfig.starts: the starts are drawn at once
 _REASONS = ("hit", "stalled", "max_iter", "step_tol")  # why a start stopped
 
 
@@ -123,8 +124,8 @@ class SearchConfig:
     stop_at_first: bool = False
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ParameterOutOfRange(f"starts must be >= 1, got {self.starts}")
+        if not 1 <= self.starts <= _MAX_STARTS:
+            raise ParameterOutOfRange(f"starts must be in [1, {_MAX_STARTS}], got {self.starts}")
         if self.seed < 0:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
 
@@ -239,13 +240,12 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     over the last _STALL_WINDOW rounds.  Sums are row sums and SVDs stacked
     (one LAPACK call per matrix), so no path depends on the batch.
 
-    Returns arrays (r, f, hit, converged, reason, rounds) over the starts:
-    each start's point of least f, that f, whether f is within the rank
-    threshold, why it stopped ("hit", or "stalled", "step_tol", "max_iter";
-    all but the last count as converged) and its rounds.  With
-    config.stop_at_first they end at the lowest-index start that hits (else
-    at the last start); the starts after it are dropped once every start
-    before it has stopped.
+    Returns arrays (r, f, reason, rounds) over the starts: each start's point
+    of least f, that f, why it stopped ("hit" exactly when f is within the
+    rank threshold, else "stalled", "step_tol" or "max_iter") and its rounds.
+    With config.stop_at_first they end at the lowest-index start that hits
+    (else at the last start); the starts after it are dropped once every
+    start before it has stopped.
     """
     rows, cols = p.block_shape
     diag = np.arange(min(rows, cols) - k)
@@ -255,7 +255,6 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     r_best = np.empty_like(r)
     f_best, smax_best = [np.inf] * S, [0.0] * S
     history = [[] for _ in range(S)]  # per start: its best f after each round
-    hit, converged = [False] * S, [False] * S
     reason = [""] * S  # empty while the start runs
     ids = list(range(S))  # live starts; row j of r belongs to start ids[j]
     while ids:
@@ -282,12 +281,11 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
         if any(stop):
             for j, i in enumerate(ids):
                 if stop[j]:
-                    converged[i] = stop[j] != "max_iter"
-                    hit[i] = f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols)
-                    reason[i] = "hit" if hit[i] else stop[j]
+                    hit = f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols)
+                    reason[i] = "hit" if hit else stop[j]
             if config.stop_at_first:
-                first = next((i for i in range(S) if hit[i] or not reason[i]), S)
-                if first < S and hit[first]:
+                first = next((i for i in range(S) if reason[i] in ("hit", "")), S)
+                if first < S and reason[first] == "hit":
                     end = first + 1
                     break
             kept = [j for j, x in enumerate(stop) if x is None]
@@ -295,8 +293,7 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             r, dr = r[kept], dr[kept]
         r = r + dr
         r /= _row_norm(r)[:, None]
-    return (r_best[:end], np.array(f_best[:end]), np.array(hit[:end], dtype=bool),
-            np.array(converged[:end], dtype=bool), np.array(reason[:end]),
+    return (r_best[:end], np.array(f_best[:end]), np.array(reason[:end]),
             np.array([len(h) for h in history[:end]]))
 
 
@@ -315,15 +312,8 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     # per start: d real parts, then d imaginary parts, drawn start after start
     draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
     R0 = draws[:, 0] + 1j * draws[:, 1]
-    if config.stop_at_first:
-        # start 0 alone first: where the locus has points it usually hits, and
-        # the other starts never run
-        runs = [_descend(p, k, R0[:1], config, tol)]
-        if not runs[0][2].any():
-            runs.append(_descend(p, k, R0[1:], config, tol))
-    else:
-        runs = [_descend(p, k, R0, config, tol)]
-    r, f, hit, converged, reason, _ = (np.concatenate(parts) for parts in zip(*runs))
+    r, f, reason, rounds = _descend(p, k, R0, config, tol)
+    hit = reason == "hit"
     found: list[tuple[ProjectivePoint, float]] = []
     for coords, residual in zip(r[hit], f[hit]):
         candidate = ProjectivePoint.of(coords)
@@ -333,9 +323,9 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     found = found[:_MAX_CLUSTERS]
     points = tuple(q for q, _ in found)
     residuals = tuple(f for _, f in found)
-    # a call's rounds are those of its longest-running start
-    stats = {"starts": config.starts, "converged": int(converged.sum()),
-             "rounds": sum(int(run[5].max(initial=0)) for run in runs)}
+    # the batch runs as long as its longest-running start
+    stats = {"starts": config.starts, "converged": int((reason != "max_iter").sum()),
+             "rounds": int(rounds.max())}
     ended = reason.tolist()
     stats.update((x, ended.count(x)) for x in _REASONS)
     return LocusSample(points, residuals, stats, trivial=False,

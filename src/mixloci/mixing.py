@@ -16,8 +16,9 @@ from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInval
 from .loci import (Pencil, ProjectivePoint, SearchConfig, is_locus_empty, locus_zero,
                    pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
-from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, eigen_ensemble,
-                     partial_trace, random_density, schmidt_rank, support)
+from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
+                     eigen_ensemble, partial_trace, random_density, rank_cut, schmidt_rank,
+                     support)
 
 __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
            "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
@@ -55,10 +56,14 @@ class RangeContainment:
 
 @dataclass(frozen=True)
 class MixVerdict:
+    """`refused` says why no scan ran although the range test did not prove
+    containment; it is None whenever the scan ran or containment was proven."""
+
     status: Literal["INFEASIBLE", "NO_OBSTRUCTION_FOUND"]
     certificate: MixCertificate | None = None
     stats: dict = field(default_factory=dict)
     range_test: RangeContainment | None = None
+    refused: str | None = None
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,7 @@ def majorizes(r: Sequence[float], s: Sequence[float], tol: float = _SUM_TOL) -> 
 
 
 def _check_weights(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise WeightSumInvalid("weights must be finite and positive")
+    weights = _positive_weights(weights)
     if abs(weights.sum() - 1.0) > _SUM_TOL:
         raise WeightSumInvalid(f"weights sum to {weights.sum()!r}, expected 1")
     return weights
@@ -228,7 +231,10 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     every admissible rank bound is scanned, cheapest (exact k=0) first.
     A NO_OBSTRUCTION_FOUND verdict is a semidecision, not a feasibility proof.
     When range(component) lies in range(target), V^k(target) lies in every
-    V^k(component), so no scan can certify and none runs.
+    V^k(component), so no scan can certify and none runs.  Nor does one run
+    when a target eigenvalue lies within the guard band of the rank cut: a
+    component there may be cut out of the target's pencil, and a certificate
+    against it would be false.
     """
     if target.shape != component.shape:
         raise ShapeMismatch("target and component shapes differ")
@@ -243,6 +249,12 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     range_test = range_containment(target, component, tol)
     if range_test.contained:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test)
+    cut = rank_cut(target, tol)
+    near = [lam for lam in target.eigenvalues() if cut / _GUARD <= lam <= _GUARD * cut]
+    if near:
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test,
+                          refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
+                                  f"the rank cut {cut:.3e}")
     component_pencil = pencil_from_ensemble(eigen_ensemble(component, tol), side)
     all_stats = {}
     for kk in ks:

@@ -16,13 +16,14 @@ from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numer
 
 __all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
            "SchmidtDecomposition", "make_pure", "make_ensemble", "schmidt", "schmidt_rank",
-           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "support",
-           "mix", "partial_trace", "random_pure", "random_density"]
+           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "rank_cut",
+           "support", "mix", "partial_trace", "random_pure", "random_density"]
 
 Side = Literal["A", "B"]
 
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
+_MAX_DIM = 1024  # largest m*n: a state is a dim x dim complex matrix
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,8 @@ class BipartiteShape:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ShapeMismatch(f"invalid shape ({self.m}, {self.n})")
+        if self.m * self.n > _MAX_DIM:
+            raise ShapeMismatch(f"shape ({self.m}, {self.n}) has m*n above {_MAX_DIM}")
 
     @property
     def dim(self) -> int:
@@ -103,11 +106,17 @@ def make_pure(raw_amplitudes, shape: BipartiteShape) -> PureState:
     return PureState(shape, amps / norm)
 
 
+def _positive_weights(weights) -> np.ndarray:
+    """weights as a nonempty float array of finite positive numbers."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.size == 0 or not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise WeightSumInvalid("weights must be finite and positive")
+    return weights
+
+
 def make_ensemble(shape: BipartiteShape, members: Sequence[tuple[float, PureState]]) -> Ensemble:
     """Build an ensemble, rescaling weights to unit sum when needed."""
-    weights = np.array([p for p, _ in members], dtype=float)
-    if len(weights) == 0 or np.any(weights <= 0):
-        raise WeightSumInvalid("ensemble weights must be positive")
+    weights = _positive_weights([p for p, _ in members])
     for _, psi in members:
         if psi.shape != shape:
             raise ShapeMismatch("ensemble member shape mismatch")
@@ -157,12 +166,18 @@ def density_from_ensemble(e: Ensemble) -> DensityMatrix:
     return density_matrix_from_array(matrix, e.shape)
 
 
+def rank_cut(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> float:
+    """The rank threshold of rho's stored spectrum: eigenvalues above it are kept."""
+    eigenvalues, dim = rho.eigenvalues(), rho.shape.dim
+    norm = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))  # spectral norm of rho
+    return tol.threshold_from_sigma(norm, dim, dim)
+
+
 def support(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> EigResult:
     """rho's stored eigenpairs above the rank threshold: eigen_ensemble's
     members, and a basis of rho's range."""
-    eig, dim = rho.spectrum, rho.shape.dim
-    norm = max(abs(eig.eigenvalues[0]), abs(eig.eigenvalues[-1]))  # spectral norm of rho
-    kept = eig.eigenvalues > tol.threshold_from_sigma(norm, dim, dim)
+    eig = rho.spectrum
+    kept = eig.eigenvalues > rank_cut(rho, tol)
     return EigResult(eig.eigenvalues[kept], eig.eigenvectors[:, kept])
 
 
@@ -175,9 +190,9 @@ def eigen_ensemble(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig())
 
 def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMatrix:
     """Convex combination sum_i w_i rho_i."""
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(states) or np.any(weights <= 0):
-        raise WeightSumInvalid("weights must be positive and match the state count")
+    weights = _positive_weights(weights)
+    if len(weights) != len(states):
+        raise WeightSumInvalid("weights must match the state count")
     if abs(weights.sum() - 1.0) > _TRACE_TOL:
         raise WeightSumInvalid(f"weights sum to {weights.sum()!r}, expected 1")
     shape = states[0].shape

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import FIXTURES
 
-from mixloci.io import load_state
+from mixloci import BipartiteShape, mix, random_density
+from mixloci.io import complex_to_pairs, load_state
 
 SRC = FIXTURES.parent / "src"
 
@@ -66,6 +67,7 @@ def test_check_mix_example2():
     assert abs(witness[0]) <= 1e-8
     assert doc["data"]["rank_in_component"] == 3
     assert doc["data"]["range"]["contained"] is False and doc["data"]["range"]["p_max"] is None
+    assert doc["data"]["refused"] is None
 
 
 def test_check_mix_identical_files():
@@ -77,7 +79,25 @@ def test_check_mix_identical_files():
     assert doc["data"]["search_stats"] == {}
     assert doc["data"]["range"]["contained"] is True
     assert doc["data"]["range"]["p_max"] == pytest.approx(1.0, abs=1e-9)
+    assert doc["data"]["refused"] is None
     assert "containment proven" in run_cli(*args).stdout
+
+
+def test_check_mix_refuses_at_the_eigenvalue_cut(tmp_path):
+    # B appears in rho with weight 3e-8: its eigenvalues in rho lie near the rank cut
+    shape = BipartiteShape(3, 3)
+    a, b = (random_density(shape, 2, seed=[s, 0]) for s in (1, 2))
+    paths = []
+    for name, state in (("rho", mix([1 - 3e-8, 3e-8], [a, b])), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"m": 3, "n": 3, "normalize": False,
+                                         "matrix": complex_to_pairs(state.matrix)}))
+    args = ("check-mix", "--target", paths[0], "--component", paths[1])
+    doc = json.loads(run_cli("--json", *args).stdout)
+    assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
+    assert doc["data"]["range"]["contained"] is False
+    assert doc["data"]["refused"].startswith("target eigenvalue")
+    assert "no locus scan" in run_cli(*args).stdout
 
 
 def test_bounds_examples():

@@ -11,6 +11,7 @@ from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOut
                      in_locus, is_locus_empty, local_dimension, locus_zero, make_ensemble,
                      make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
                      rank_at, sample_locus)
+from mixloci import loci
 from mixloci.loci import InvalidK, Pencil, ProjectivePoint, SearchConfig, _descend
 
 from conftest import (assert_pencil_matches_paper, load_fixture,
@@ -165,9 +166,10 @@ def test_rank_at_generic_shared_annihilator():
 
 
 def test_search_config_rejects_no_starts():
-    for starts in (0, -1):
+    for starts in (0, -1, 4097):  # above 4096 the draws alone would be large
         with pytest.raises(ParameterOutOfRange):
             SearchConfig(starts=starts)
+    assert SearchConfig(starts=4096).starts == 4096
 
 
 def test_search_config_rejects_negative_seed():
@@ -208,32 +210,34 @@ def empty_locus_pencil():
 
 
 @pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty"])
-def test_search_kernel_has_no_width_dependence(name):
+def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     p = {"generic": generic_pencil, "empty": empty_locus_pencil}.get(name, lambda: pencil_of(name))()
     config = SearchConfig(starts=24, seed=3)
     # the 24 starts sample_locus draws for this seed
     draws = np.random.default_rng(config.seed).standard_normal((24, 2, p.ambient_dim))
     R0 = draws[:, 0] + 1j * draws[:, 1]
-    r, f, hit, converged, reason, rounds = _descend(p, 2, R0, config, TOL)
+    r, f, reason, rounds = _descend(p, 2, R0, config, TOL)
+    hit = reason == "hit"
     if name == "empty":
         assert not hit.any() and "stalled" in reason
     else:
         assert hit.any()
     for i in range(24):
-        r_i, f_i, hit_i, converged_i, reason_i, rounds_i = _descend(p, 2, R0[i:i + 1], config,
-                                                                    TOL)
+        r_i, f_i, reason_i, rounds_i = _descend(p, 2, R0[i:i + 1], config, TOL)
         assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
-        assert (hit_i[0], converged_i[0], reason_i[0], rounds_i[0]) \
-            == (hit[i], converged[i], reason[i], rounds[i])
+        assert (reason_i[0], rounds_i[0]) == (reason[i], rounds[i])
 
     # with stop_at_first the run ends at the first hit, or at the last start
     first = int(np.argmax(hit)) if hit.any() else 23
     config = replace(config, stop_at_first=True)
-    r_s, f_s, hit_s, _, reason_s, _ = _descend(p, 2, R0, config, TOL)
+    r_s, f_s, reason_s, _ = _descend(p, 2, R0, config, TOL)
     assert np.array_equal(r_s, r[:first + 1]) and np.array_equal(f_s, f[:first + 1])
-    assert np.array_equal(hit_s, hit[:first + 1]) and np.array_equal(reason_s, reason[:first + 1])
+    assert np.array_equal(reason_s, reason[:first + 1])
 
+    calls = []
+    monkeypatch.setattr(loci, "_descend", lambda *args: calls.append(1) or _descend(*args))
     sample = sample_locus(p, 2, config, TOL)
+    assert len(calls) == 1  # one batch over all starts, hit or miss
     if hit.any():
         assert len(sample.points) == 1
         assert np.array_equal(sample.points[0].coords, ProjectivePoint.of(r[first]).coords)
@@ -243,11 +247,9 @@ def test_search_kernel_has_no_width_dependence(name):
     ran = reason[:first + 1].tolist()
     counts = {x: ran.count(x) for x in ("hit", "stalled", "max_iter", "step_tol")}
     assert sum(counts.values()) == first + 1
-    # start 0 runs alone, then (if it misses) starts 1.. in one batch, which
-    # lasts as long as its longest-running start up to the first hit
-    expected_rounds = rounds[0] + (rounds[1:first + 1].max() if first else 0)
-    assert sample.search_stats == {"starts": 24, "converged": int(converged[:first + 1].sum()),
-                                   "rounds": expected_rounds, **counts}
+    # the batch lasts as long as its longest-running start up to the first hit
+    assert sample.search_stats == {"starts": 24, "converged": first + 1 - counts["max_iter"],
+                                   "rounds": rounds[:first + 1].max(), **counts}
 
 
 def test_stall_rule_keeps_every_hit():

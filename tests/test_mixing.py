@@ -62,6 +62,8 @@ def test_check_pure_mix_eigen():
     assert check_pure_mix_eigen(rho, [0.5, 0.5])
     with pytest.raises(WeightSumInvalid):
         check_pure_mix_eigen(rho, [0.5, 0.4])
+    with pytest.raises(WeightSumInvalid):
+        check_pure_mix_eigen(rho, [float("nan"), 1.0])
 
 
 def test_check_pure_mix_eigen_constructed(tol):
@@ -188,6 +190,18 @@ def test_range_gate_scans_a_component_leaking_out_of_range():
     assert not verdict.range_test.contained and verdict.range_test.p_max is None
     assert verdict.range_test.leak == pytest.approx(1e-3, rel=1e-3)
     assert verdict.stats  # the locus scan ran
+
+
+@pytest.mark.parametrize("eps", [1e-7, 3e-8])
+def test_no_certificate_at_the_eigenvalue_cut(eps):
+    # B is in rho with weight eps, but its eigenvalues in rho lie within the
+    # guard band of the rank cut, where the target's pencil may lose them
+    for t in range(10):
+        a, b = (random_density(S33, 2, seed=[s, t]) for s in (1, 2))
+        verdict = check_component_necessary(mix([1 - eps, eps], [a, b]), b, "A", None,
+                                            SearchConfig(starts=16, seed=t), TOL)
+        assert verdict.status == "NO_OBSTRUCTION_FOUND"
+        assert verdict.range_test.contained or verdict.refused
 
 
 def test_check_component_necessary_errors():

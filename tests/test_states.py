@@ -137,9 +137,27 @@ def test_mix_errors():
     rho = load_fixture("bell.json").density
     with pytest.raises(WeightSumInvalid):
         mix([0.7, 0.7], [rho, rho])
+    # one finite-positive rule; make_ensemble then rescales where mix rejects the sum
+    for bad in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(WeightSumInvalid):
+            mix([bad, 0.5], [rho, rho])
+        with pytest.raises(WeightSumInvalid):
+            make_ensemble(S22, [(bad, bell()), (0.5, bell())])
+    assert make_ensemble(S22, [(2.0, bell())]).weights.tolist() == [1.0]
     other = load_fixture("example3.json").density
     with pytest.raises(ShapeMismatch):
         mix([0.5, 0.5], [rho, other])
+
+
+def test_bipartite_shape_caps_m_times_n(tmp_path):
+    assert BipartiteShape(32, 32).dim == 1024
+    for m, n in ((33, 32), (1, 1025)):
+        with pytest.raises(ShapeMismatch):
+            BipartiteShape(m, n)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"m": 300, "n": 300, "matrix": [[1, 0]]}))
+    with pytest.raises(StateFileError, match="1024"):
+        load_state(path)
 
 
 def test_partial_trace_product_state():
