@@ -23,6 +23,11 @@ __all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs",
            "pairs_to_complex", "file_sha256"]
 
 
+# largest magnitude of a number in a state file: its square, summed over
+# every entry of a state, stays finite
+_MAX_MAGNITUDE = 1e150
+
+
 class StateFileError(MixLociError):
     pass
 
@@ -40,8 +45,10 @@ def pairs_to_complex(pairs, what: str) -> np.ndarray:
     except ValueError:  # ragged nesting
         arr = np.empty(0)
     if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2 \
-            or not np.isfinite(arr).all():
-        raise StateFileError(f"{what}: expected an array of finite [re, im] number pairs")
+            or not np.abs(arr).max() <= _MAX_MAGNITUDE:  # NaN fails too
+        raise StateFileError(
+            f"{what}: expected an array of [re, im] number pairs of magnitude at most "
+            f"{_MAX_MAGNITUDE:g}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -82,8 +89,9 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
             members = []
             for entry in doc["ensemble"]:
                 p = entry.get("p") if isinstance(entry, dict) else None
-                if not (type(p) in (int, float) and 0 < p < float("inf") and "amps" in entry):
-                    raise StateFileError("each ensemble entry needs a positive 'p' and 'amps'")
+                if not (type(p) in (int, float) and 0 < p <= _MAX_MAGNITUDE and "amps" in entry):
+                    raise StateFileError("each ensemble entry needs a positive 'p' of at "
+                                         f"most {_MAX_MAGNITUDE:g} and 'amps'")
                 amps = pairs_to_complex(entry["amps"], "ensemble amps")
                 if amps.size != shape.dim:
                     raise StateFileError(

@@ -25,14 +25,12 @@ _POINT_TOL = 1e-9
 
 # The search's stopping rule, per start (see _descend), and its output cap.
 _MAX_ITER = 500  # kernel rounds
-_STEP_TOL = 1e-12  # a shorter Gauss-Newton step ends the start
 _POLISH = 1e-3  # sigma_{k+1} at or below this times the rank threshold ends the start
 _RCOND = 1e-12  # relative cut on the singular values of the projected normal map
-_STALL_WINDOW = 10  # rounds over which a stall is judged
-_STALL_RTOL = 1e-6  # the best f falling by less than this times f over the window is a stall
+_STALL_RTOL = 1e-5  # a step predicted to remove less than this share of ||tail||^2 is a stall
 _MAX_CLUSTERS = 64  # distinct points a search reports
 _MAX_STARTS = 4096  # largest SearchConfig.starts: the starts are drawn at once
-_REASONS = ("hit", "stalled", "max_iter", "step_tol")  # why a start stopped
+_REASONS = ("hit", "stalled", "max_iter")  # why a start stopped
 
 
 @dataclass(frozen=True)
@@ -219,15 +217,20 @@ def _normal_map(p: Pencil, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return s, J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
 
 
-def _gauss_newton_step(J: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
+                       r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, dr = -pinv(J (I - r r^dagger)) b by one stacked SVD: the least
-    ||b + J dr|| of least norm, orthogonal to r (the projected J kills r)."""
+    ||b + J dr|| of least norm, orthogonal to r (the projected J kills r), and
+    whether the start stalled: the step's model removes ||c||^2 from ||b||^2,
+    c = W^dagger b being the part of b the map reaches, and a stall is ||c||^2 <
+    _STALL_RTOL ||b||^2 (a product, not a ratio: b = 0 at exact locus points)."""
     Jr = _row_sum(J * r[:, None, :])
     W, sigma, Vh = np.linalg.svd(J - Jr[:, :, None] * r.conj()[:, None, :], full_matrices=False)
     kept = sigma > _RCOND * sigma[:, :1]
-    coeffs = _row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :])
-    coeffs = np.where(kept, coeffs / np.where(kept, sigma, 1.0), 0.0)
-    return -_row_sum(Vh.conj().swapaxes(-1, -2) * coeffs[:, None, :])
+    c = np.where(kept, _row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :]), 0.0)
+    stalled = _row_norm(c) ** 2 < _STALL_RTOL * _row_norm(b) ** 2
+    dr = -_row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
+    return dr, stalled
 
 
 def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
@@ -236,13 +239,12 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     in lockstep.  A round moves each live start by the step dr of its normal
     map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
     sigma_{k+1} <= _POLISH times the rank threshold, after _MAX_ITER rounds,
-    when |dr| < _STEP_TOL, or when its best f fell by less than _STALL_RTOL f
-    over the last _STALL_WINDOW rounds.  Sums are row sums and SVDs stacked
-    (one LAPACK call per matrix), so no path depends on the batch.
+    or when its step stalls (see _gauss_newton_step).  Sums are row sums and
+    SVDs stacked (one LAPACK call per matrix), so no path depends on the batch.
 
     Returns arrays (r, f, reason, rounds) over the starts: each start's point
     of least f, that f, why it stopped ("hit" exactly when f is within the
-    rank threshold, else "stalled", "step_tol" or "max_iter") and its rounds.
+    rank threshold, else "stalled" or "max_iter") and its rounds.
     With config.stop_at_first they end at the lowest-index start that hits
     (else at the last start); the starts after it are dropped once every
     start before it has stopped.
@@ -254,35 +256,32 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     r = R0 / _row_norm(R0)[:, None]
     r_best = np.empty_like(r)
     f_best, smax_best = [np.inf] * S, [0.0] * S
-    history = [[] for _ in range(S)]  # per start: its best f after each round
-    reason = [""] * S  # empty while the start runs
+    reason, rounds = [""] * S, [0] * S  # set when the start stops; "" while it runs
     ids = list(range(S))  # live starts; row j of r belongs to start ids[j]
+    n = 0  # rounds run
     while ids:
+        n += 1
         s, J = _normal_map(p, r, k)
         b = np.zeros((len(ids), rows - k, cols - k), dtype=complex)
         b[:, diag, diag] = s[:, k:]
-        dr = _gauss_newton_step(J, b.reshape(len(ids), -1), r)
-        f, smax, moved = s[:, k].tolist(), s[:, 0].tolist(), _row_norm(dr).tolist()
+        dr, stalled = _gauss_newton_step(J, b.reshape(len(ids), -1), r)
+        f, smax, stalled = s[:, k].tolist(), s[:, 0].tolist(), stalled.tolist()
         stop = [None] * len(ids)  # None: the start goes on; else why it stops
         for j, i in enumerate(ids):
             if f[j] < f_best[i]:
                 f_best[i], smax_best[i] = f[j], smax[j]
                 r_best[i] = r[j]
-            history[i].append(f_best[i])
             if f[j] <= _POLISH * tol.threshold_from_sigma(smax[j], rows, cols):
                 stop[j] = "hit"
-            elif len(history[i]) >= _MAX_ITER:
+            elif n >= _MAX_ITER:
                 stop[j] = "max_iter"
-            elif moved[j] < _STEP_TOL:
-                stop[j] = "step_tol"
-            elif (len(history[i]) > _STALL_WINDOW and
-                  history[i][-_STALL_WINDOW - 1] - f_best[i] < _STALL_RTOL * f_best[i]):
+            elif stalled[j]:
                 stop[j] = "stalled"
         if any(stop):
             for j, i in enumerate(ids):
                 if stop[j]:
                     hit = f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols)
-                    reason[i] = "hit" if hit else stop[j]
+                    reason[i], rounds[i] = "hit" if hit else stop[j], n
             if config.stop_at_first:
                 first = next((i for i in range(S) if reason[i] in ("hit", "")), S)
                 if first < S and reason[first] == "hit":
@@ -293,8 +292,7 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             r, dr = r[kept], dr[kept]
         r = r + dr
         r /= _row_norm(r)[:, None]
-    return (r_best[:end], np.array(f_best[:end]), np.array(reason[:end]),
-            np.array([len(h) for h in history[:end]]))
+    return r_best[:end], np.array(f_best[:end]), np.array(reason[:end]), np.array(rounds[:end])
 
 
 def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),

@@ -113,7 +113,7 @@ def majorizes(r: Sequence[float], s: Sequence[float], tol: float = _SUM_TOL) -> 
 def _check_weights(weights) -> np.ndarray:
     weights = _positive_weights(weights)
     if abs(weights.sum() - 1.0) > _SUM_TOL:
-        raise WeightSumInvalid(f"weights sum to {weights.sum()!r}, expected 1")
+        raise WeightSumInvalid(f"weights sum to {float(weights.sum())!r}, expected 1")
     return weights
 
 

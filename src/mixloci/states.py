@@ -107,10 +107,13 @@ def make_pure(raw_amplitudes, shape: BipartiteShape) -> PureState:
 
 
 def _positive_weights(weights) -> np.ndarray:
-    """weights as a nonempty float array of finite positive numbers."""
+    """weights as a nonempty float array of positive numbers with a finite sum,
+    so each is finite."""
     weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise WeightSumInvalid("weights must be finite and positive")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
+        total = weights.sum()
+    if weights.size == 0 or np.any(weights <= 0) or not np.isfinite(total):
+        raise WeightSumInvalid("weights must be positive, with a finite sum")
     return weights
 
 
@@ -194,7 +197,7 @@ def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMat
     if len(weights) != len(states):
         raise WeightSumInvalid("weights must match the state count")
     if abs(weights.sum() - 1.0) > _TRACE_TOL:
-        raise WeightSumInvalid(f"weights sum to {weights.sum()!r}, expected 1")
+        raise WeightSumInvalid(f"weights sum to {float(weights.sum())!r}, expected 1")
     shape = states[0].shape
     for s in states:
         if s.shape != shape:

@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 
 from mixloci import BipartiteShape, mix, random_density
-from mixloci.io import complex_to_pairs, load_state
+from mixloci.io import LoadedState, StateFileError, complex_to_pairs, load_state
 
 SRC = FIXTURES.parent / "src"
 
@@ -271,6 +275,13 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
 
 AMPS_00 = [[1, 0], [0, 0], [0, 0], [0, 0]]
+# each number is finite, but sums and norms of them overflow
+OVERFLOWING_STATES = [
+    {"m": 1, "n": 2, "ensemble": [{"p": 1e308, "amps": [[1, 0], [0, 0]]},
+                                  {"p": 1e308, "amps": [[0, 0], [1, 0]]}]},
+    {"m": 1, "n": 2, "ensemble": [{"p": 1, "amps": [[1e308, 0], [1e308, 0]]}]},
+    {"m": 1, "n": 2, "matrix": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]},
+]
 
 
 @pytest.mark.parametrize("doc", [
@@ -278,7 +289,9 @@ AMPS_00 = [[1, 0], [0, 0], [0, 0], [0, 0]]
     {"m": 2, "n": 2, "ensemble": 5},
     {"m": 2, "n": 2, "ensemble": [{"p": 1, "amps": [[float("nan"), 0]] + AMPS_00[1:]}]},
     {"m": 2, "n": 2, "normalize": "false", "ensemble": [{"p": 1, "amps": AMPS_00}]},
-], ids=["missing_p", "ensemble_not_list", "nan_amplitude", "normalize_string"])
+    *OVERFLOWING_STATES,
+], ids=["missing_p", "ensemble_not_list", "nan_amplitude", "normalize_string",
+        "overflowing_weights", "overflowing_amplitudes", "overflowing_matrix"])
 def test_malformed_state_file_exits_2(tmp_path, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
@@ -286,6 +299,65 @@ def test_malformed_state_file_exits_2(tmp_path, doc):
     assert completed.returncode == 2
     lines = completed.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+
+
+SMALL = st.integers(-2, 2) | st.floats(-2, 2)
+NUMBERS = st.one_of(SMALL, SMALL, st.floats(),
+                    st.sampled_from([1e150, 2e150, 1e308, -1e308, 5e-324, 2 ** 64]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+def number_pairs(size):
+    """size [re, im] pairs, or a list of about that length holding anything."""
+    pair = st.lists(NUMBERS, min_size=2, max_size=2)
+    return (st.lists(pair, min_size=size, max_size=size)
+            | st.lists(pair | JSON_VALUES, max_size=size + 1))
+
+
+@st.composite
+def state_docs(draw):
+    """Documents shaped like state files, mostly of the right sizes."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    doc = {"m": m, "n": n}
+    if draw(st.booleans()):
+        doc["normalize"] = draw(st.booleans())
+    member = st.fixed_dictionaries({"p": NUMBERS, "amps": number_pairs(m * n)})
+    kind = draw(st.sampled_from(["ensemble", "matrix", "psd_matrix"]))
+    if kind == "ensemble":
+        doc["ensemble"] = draw(st.lists(member, min_size=1, max_size=3))
+    elif kind == "matrix":
+        doc["matrix"] = draw(number_pairs((m * n) ** 2))
+    else:  # sum of v v^dagger, scaled: Hermitian and PSD
+        entries = st.lists(st.tuples(SMALL, SMALL), min_size=m * n, max_size=m * n)
+        v = np.array([[complex(*c) for c in vector]
+                      for vector in draw(st.lists(entries, min_size=1, max_size=2))])
+        scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e200]))
+        doc["matrix"] = complex_to_pairs(scale * np.einsum("la,lb->ab", v, v.conj()))
+    if draw(st.integers(0, 9)) == 0:  # one member replaced by any value
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES | state_docs())
+@example(OVERFLOWING_STATES[0])
+@example(OVERFLOWING_STATES[1])
+@example(OVERFLOWING_STATES[2])
+def test_any_json_document_loads_or_raises_state_file_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an error, not a StateFileError
+            try:
+                loaded = load_state(path)
+            except StateFileError:
+                return
+    assert isinstance(loaded, LoadedState)
 
 
 @pytest.mark.parametrize("args", [
@@ -299,6 +371,7 @@ def test_malformed_state_file_exits_2(tmp_path, doc):
     ("check-mix", "--target", fixture("example2_target.json"),
      "--component", fixture("example2_component.json"), "--k", "1.5"),
     ("majorize", "--p", "0.5,nan,0.5", "--target", fixture("maximally_mixed_2x2.json")),
+    ("majorize", "--p", "1e308,1e308", "--target", fixture("maximally_mixed_2x2.json")),
     ("majorize", "--target", fixture("bell.json"), "--components", fixture("bell.json"),
      fixture("bell.json"), "--weights", "0.5,nan"),
     ("--seed", "-1", "locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "2"),
@@ -306,7 +379,7 @@ def test_malformed_state_file_exits_2(tmp_path, doc):
      "--trials", "1"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
-        "weights_nan", "locus_seed_negative", "genericity_seed_negative"])
+        "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

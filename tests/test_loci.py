@@ -209,13 +209,17 @@ def empty_locus_pencil():
     return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
 
 
+def drawn_starts(p, config):
+    """The starts sample_locus draws for config."""
+    draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
 @pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty"])
 def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     p = {"generic": generic_pencil, "empty": empty_locus_pencil}.get(name, lambda: pencil_of(name))()
     config = SearchConfig(starts=24, seed=3)
-    # the 24 starts sample_locus draws for this seed
-    draws = np.random.default_rng(config.seed).standard_normal((24, 2, p.ambient_dim))
-    R0 = draws[:, 0] + 1j * draws[:, 1]
+    R0 = drawn_starts(p, config)
     r, f, reason, rounds = _descend(p, 2, R0, config, TOL)
     hit = reason == "hit"
     if name == "empty":
@@ -245,11 +249,33 @@ def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     else:
         assert sample.points == () and sample.min_residual_seen == f.min()
     ran = reason[:first + 1].tolist()
-    counts = {x: ran.count(x) for x in ("hit", "stalled", "max_iter", "step_tol")}
+    counts = {x: ran.count(x) for x in ("hit", "stalled", "max_iter")}
     assert sum(counts.values()) == first + 1
     # the batch lasts as long as its longest-running start up to the first hit
     assert sample.search_stats == {"starts": 24, "converged": first + 1 - counts["max_iter"],
                                    "rounds": rounds[:first + 1].max(), **counts}
+
+
+def test_stalled_starts_end_near_where_unstopped_ones_do(monkeypatch):
+    # without the stall test every start of the empty locus runs _MAX_ITER rounds
+    p = empty_locus_pencil()
+    config = SearchConfig(starts=24, seed=3)
+    R0 = drawn_starts(p, config)
+    _, f, reason, _ = _descend(p, 2, R0, config, TOL)
+    monkeypatch.setattr(loci, "_STALL_RTOL", 0.0)
+    _, f_ref, reason_ref, _ = _descend(p, 2, R0, config, TOL)
+    assert set(reason) == {"stalled"} and set(reason_ref) == {"max_iter"}
+    assert np.all(f <= 1.01 * f_ref)
+    assert f.min() == pytest.approx(f_ref.min(), rel=1e-4)
+
+
+def test_no_start_of_an_empty_search_runs_out_of_rounds():
+    # a pencil where judging the fall of the best f over a window of rounds
+    # let 9 of these 32 starts run all _MAX_ITER rounds
+    rho = random_density(BipartiteShape(3, 3), 4, seed=[99, 3, 3, 4, 1])
+    p = pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
+    stats = sample_locus(p, 1, SearchConfig(starts=32, seed=1), TOL).search_stats
+    assert stats["hit"] == 0 and stats["max_iter"] == 0
 
 
 def test_stall_rule_keeps_every_hit():

@@ -135,8 +135,12 @@ def test_mix_reproduces_example1():
 
 def test_mix_errors():
     rho = load_fixture("bell.json").density
-    with pytest.raises(WeightSumInvalid):
+    with pytest.raises(WeightSumInvalid, match=r"^weights sum to 1\.4, expected 1$"):
         mix([0.7, 0.7], [rho, rho])
+    with pytest.raises(WeightSumInvalid, match="finite sum"):  # finite weights, infinite sum
+        mix([1e308, 1e308], [rho, rho])
+    with pytest.raises(WeightSumInvalid, match="finite sum"):
+        make_ensemble(S22, [(1e308, bell()), (1e308, bell())])
     # one finite-positive rule; make_ensemble then rescales where mix rejects the sum
     for bad in (float("nan"), float("inf"), 0.0, -0.5):
         with pytest.raises(WeightSumInvalid):
