@@ -117,6 +117,9 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
             if abs(trace) < 1e-14:
                 raise StateFileError("matrix trace is zero")
             matrix = matrix / trace
+            if not np.abs(matrix).max() <= _MAX_MAGNITUDE:  # a tiny trace scales entries up
+                raise StateFileError(
+                    f"matrix entries exceed {_MAX_MAGNITUDE:g} once divided by the trace")
         density = density_matrix_from_array(matrix, shape)
         return LoadedState(shape, density, eigen_ensemble(density, tol))
     except (ShapeMismatch, NotHermitian, ZeroVector, WeightSumInvalid) as exc:

@@ -58,13 +58,6 @@ class ProjectivePoint:
     def same_point(self, other: "ProjectivePoint", tol: float = _POINT_TOL) -> bool:
         return 1.0 - abs(np.vdot(self.coords, other.coords)) <= tol
 
-    def sort_key(self) -> tuple:
-        # report order: coordinate moduli first, so points with vanishing
-        # leading coordinates come before generic ones; then re/im tie-break
-        rounded = np.round(self.coords, 6)
-        return (tuple(np.round(np.abs(self.coords), 6)),
-                tuple(x for c in rounded for x in (c.real, c.imag)))
-
 
 @dataclass(frozen=True)
 class Pencil:
@@ -212,7 +205,7 @@ def _normal_map(p: Pencil, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=True)
     U0h = U[..., k:].conj().swapaxes(-1, -2)  # (S, rows-k, rows)
     V0t = Vh[..., k:, :].conj()  # (S, cols-k, cols): V0 transposed
-    left = _row_sum(U0h[:, None, :, None, :] * p.blocks.swapaxes(-1, -2)[None, :, None])
+    left = _row_sum(U0h[:, None, :, None, :] * p.blocks.swapaxes(-1, -2)[..., None, :, :])
     J = _row_sum(left[:, :, :, None, :] * V0t[:, None, None])  # (S, d, rows-k, cols-k)
     return s, J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
 
@@ -234,7 +227,7 @@ def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
 
 
 def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
-             tol: ToleranceConfig):
+             tol: ToleranceConfig, trial: np.ndarray | None = None):
     """Riemannian Gauss-Newton on the rank-k locus, all starts (rows of R0)
     in lockstep.  A round moves each live start by the step dr of its normal
     map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
@@ -242,57 +235,152 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     or when its step stalls (see _gauss_newton_step).  Sums are row sums and
     SVDs stacked (one LAPACK call per matrix), so no path depends on the batch.
 
-    Returns arrays (r, f, reason, rounds) over the starts: each start's point
+    p.blocks is one (ambient, rows, cols) stack for every row, or one stack
+    per row, (S, ambient, rows, cols).  trial numbers each row's search, from
+    0 with the rows of a search contiguous; by default the rows are one search.
+
+    Returns arrays (r, f, reason, rounds) over the rows: each start's point
     of least f, that f, why it stopped ("hit" exactly when f is within the
     rank threshold, else "stalled" or "max_iter") and its rounds.
-    With config.stop_at_first they end at the lowest-index start that hits
-    (else at the last start); the starts after it are dropped once every
-    start before it has stopped.
+    With config.stop_at_first a search ends at its lowest-index start that
+    hits (else at its last start): once every start before that one has
+    stopped, the starts after it are dropped, with reason "" and 0 rounds.
     """
-    rows, cols = p.block_shape
+    rows, cols = p.blocks.shape[-2:]
     diag = np.arange(min(rows, cols) - k)
     R0 = np.ascontiguousarray(R0, dtype=complex)
-    S = end = len(R0)
+    S = len(R0)
+    trial = np.zeros(S, dtype=int) if trial is None else np.asarray(trial)
     r = R0 / _row_norm(R0)[:, None]
     r_best = np.empty_like(r)
-    f_best, smax_best = [np.inf] * S, [0.0] * S
-    reason, rounds = [""] * S, [0] * S  # set when the start stops; "" while it runs
-    ids = list(range(S))  # live starts; row j of r belongs to start ids[j]
+    f_best, smax_best = np.full(S, np.inf), np.zeros(S)
+    reason = np.full(S, "", dtype="U8")  # set when the start stops; "" while it runs
+    rounds = np.zeros(S, dtype=int)
+    ids = np.arange(S)  # live starts; row j of r belongs to start ids[j]
     n = 0  # rounds run
-    while ids:
+    while ids.size:
         n += 1
         s, J = _normal_map(p, r, k)
-        b = np.zeros((len(ids), rows - k, cols - k), dtype=complex)
+        b = np.zeros((ids.size, rows - k, cols - k), dtype=complex)
         b[:, diag, diag] = s[:, k:]
-        dr, stalled = _gauss_newton_step(J, b.reshape(len(ids), -1), r)
-        f, smax, stalled = s[:, k].tolist(), s[:, 0].tolist(), stalled.tolist()
-        stop = [None] * len(ids)  # None: the start goes on; else why it stops
-        for j, i in enumerate(ids):
-            if f[j] < f_best[i]:
-                f_best[i], smax_best[i] = f[j], smax[j]
-                r_best[i] = r[j]
-            if f[j] <= _POLISH * tol.threshold_from_sigma(smax[j], rows, cols):
-                stop[j] = "hit"
-            elif n >= _MAX_ITER:
-                stop[j] = "max_iter"
-            elif stalled[j]:
-                stop[j] = "stalled"
-        if any(stop):
-            for j, i in enumerate(ids):
-                if stop[j]:
-                    hit = f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols)
-                    reason[i], rounds[i] = "hit" if hit else stop[j], n
+        dr, stalled = _gauss_newton_step(J, b.reshape(ids.size, -1), r)
+        f, smax = s[:, k], s[:, 0]
+        better = f < f_best[ids]
+        i = ids[better]
+        f_best[i], smax_best[i], r_best[i] = f[better], smax[better], r[better]
+        polished = f <= _POLISH * tol.threshold_from_sigma(smax, rows, cols)
+        going = ~(polished | stalled) if n < _MAX_ITER else np.zeros(ids.size, dtype=bool)
+        if not going.all():
+            i = ids[~going]
+            hit = polished[~going] | (f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols))
+            reason[i] = np.where(hit, "hit", "stalled" if n < _MAX_ITER else "max_iter")
+            rounds[i] = n
             if config.stop_at_first:
-                first = next((i for i in range(S) if reason[i] in ("hit", "")), S)
-                if first < S and reason[first] == "hit":
-                    end = first + 1
-                    break
-            kept = [j for j, x in enumerate(stop) if x is None]
-            ids = [ids[j] for j in kept]
-            r, dr = r[kept], dr[kept]
+                # a search ends when its first start that hit or still runs is a hit
+                open_ = np.flatnonzero((reason == "hit") | (reason == ""))
+                first = open_[np.diff(trial[open_], prepend=-1) != 0]
+                first = first[reason[first] == "hit"]
+                end = np.full(trial[-1] + 1, S)
+                end[trial[first]] = first
+                dropped = np.arange(S) > end[trial]
+                reason[dropped], rounds[dropped] = "", 0
+                going &= ~dropped[ids]
+            ids, r, dr = ids[going], r[going], dr[going]
+            if p.blocks.ndim == 4:
+                p = Pencil(p.blocks[going])
         r = r + dr
         r /= _row_norm(r)[:, None]
-    return r_best[:end], np.array(f_best[:end]), np.array(reason[:end]), np.array(rounds[:end])
+    return r_best, f_best, reason, rounds
+
+
+def _draw_starts(config: SearchConfig, ambient: int) -> np.ndarray:
+    # per start: d real parts, then d imaginary parts, drawn start after start
+    draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, ambient))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+def _close(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """same_point between every unit row of P and every unit row of Q."""
+    return 1.0 - np.abs(P.conj() @ Q.T) <= _POINT_TOL
+
+
+def _first_of_each_point(H: np.ndarray) -> np.ndarray:
+    """Indices of the unit rows of H kept in order: a row is dropped when it
+    is the same point as a row kept before it.  Blocks of 256 rows bound the
+    Gram matrices by 256 x len(H)."""
+    kept = np.empty(0, dtype=int)
+    for lo in range(0, len(H), 256):
+        idx = np.arange(lo, min(lo + 256, len(H)))
+        if kept.size:
+            idx = idx[~_close(H[idx], H[kept]).any(axis=1)]
+        close = np.triu(_close(H[idx], H[idx]), 1)
+        # keep[j] = no i < j with close[i, j] and keep[i]: each sweep fixes at
+        # least one more row in order, and the first fixed point is the answer
+        keep = np.ones(idx.size, dtype=bool)
+        while not np.array_equal(new := ~(close & keep[:, None]).any(axis=0), keep):
+            keep = new
+        kept = np.concatenate([kept, idx[keep]])
+    return kept
+
+
+def _distinct_points(r: np.ndarray, f: np.ndarray) -> tuple[tuple, tuple]:
+    """The hits r (rows, in start order) with residuals f, as points: the first
+    hit of each point is kept, the points are sorted by the moduli of their
+    coordinates, then by their real and imaginary parts, all rounded to 6
+    decimals (so points with vanishing leading coordinates come first), and
+    the first _MAX_CLUSTERS are reported."""
+    if len(r) > 1:
+        kept = _first_of_each_point(r / np.linalg.norm(r, axis=1)[:, None])
+        r, f = r[kept], f[kept]
+    points = [ProjectivePoint.of(x) for x in r]
+    if len(points) > 1:
+        C = np.array([q.coords for q in points])
+        parts = np.round(C, 6).view(np.float64)  # re, im of each coordinate in turn
+        order = np.lexsort(np.hstack([np.round(np.abs(C), 6), parts]).T[::-1])
+        points, f = [points[j] for j in order[:_MAX_CLUSTERS]], f[order[:_MAX_CLUSTERS]]
+    return tuple(points), tuple(f)
+
+
+def _sample(r, f, reason, rounds, starts: int) -> LocusSample:
+    """One search's sample from its rows of _descend."""
+    points, residuals = _distinct_points(r[reason == "hit"], f[reason == "hit"])
+    counts = {x: int(np.count_nonzero(reason == x)) for x in _REASONS}
+    # the search runs as long as its longest-running start
+    stats = {"starts": starts, "converged": counts["hit"] + counts["stalled"],
+             "rounds": int(rounds.max()), **counts}
+    return LocusSample(points, residuals, stats, trivial=False,
+                       min_residual_seen=f[reason != ""].min())
+
+
+def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSample]:
+    """sample_locus(pencils[i], k, configs[i], tol) for each i.  The configs
+    differ in seed at most.  The searches of one block shape run as one
+    _descend batch, each pencil's blocks on its starts' rows, so the caller
+    keeps len(pencils) * starts within _MAX_STARTS.  No row depends on the
+    batch, so each sample is the one its search gives alone."""
+    if k < 0:
+        raise InvalidK("rank bound k must be nonnegative")
+    samples = [None] * len(pencils)
+    shapes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(pencils):
+        if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
+            # every point is on the locus: k reaches the block size, or the pencil is zero
+            stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}
+            samples[i] = LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
+        else:
+            shapes.setdefault(p.blocks.shape, []).append(i)
+    for batch in shapes.values():
+        starts = configs[batch[0]].starts
+        R0 = np.concatenate([_draw_starts(configs[i], pencils[i].ambient_dim) for i in batch])
+        p = pencils[batch[0]]
+        if len(batch) > 1:
+            p = Pencil(np.repeat(np.stack([pencils[i].blocks for i in batch]), starts, axis=0))
+        trial = np.repeat(np.arange(len(batch)), starts)
+        r, f, reason, rounds = _descend(p, k, R0, configs[batch[0]], tol, trial)
+        for j, i in enumerate(batch):
+            rows = slice(j * starts, (j + 1) * starts)
+            samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
+    return samples
 
 
 def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
@@ -301,33 +389,7 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
 
     An empty point list is a failure to find, not a proof of emptiness.
     """
-    if k < 0:
-        raise InvalidK("rank bound k must be nonnegative")
-    if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
-        # every point is on the locus: k reaches the block size, or the pencil is zero
-        stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}
-        return LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
-    # per start: d real parts, then d imaginary parts, drawn start after start
-    draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
-    R0 = draws[:, 0] + 1j * draws[:, 1]
-    r, f, reason, rounds = _descend(p, k, R0, config, tol)
-    hit = reason == "hit"
-    found: list[tuple[ProjectivePoint, float]] = []
-    for coords, residual in zip(r[hit], f[hit]):
-        candidate = ProjectivePoint.of(coords)
-        if not any(candidate.same_point(q) for q, _ in found):
-            found.append((candidate, residual))
-    found.sort(key=lambda item: item[0].sort_key())
-    found = found[:_MAX_CLUSTERS]
-    points = tuple(q for q, _ in found)
-    residuals = tuple(f for _, f in found)
-    # the batch runs as long as its longest-running start
-    stats = {"starts": config.starts, "converged": int((reason != "max_iter").sum()),
-             "rounds": int(rounds.max())}
-    ended = reason.tolist()
-    stats.update((x, ended.count(x)) for x in _REASONS)
-    return LocusSample(points, residuals, stats, trivial=False,
-                       min_residual_seen=f.min() if f.size else float("inf"))
+    return _sample_loci([p], k, [config], tol)[0]
 
 
 def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
@@ -347,14 +409,21 @@ def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
                    tol: ToleranceConfig = ToleranceConfig()) -> LocusVerdict:
     """Exact emptiness for k = 0; sampled one-sided evidence for k >= 1."""
-    if k < 0:
-        raise InvalidK("rank bound k must be nonnegative")
+    return _loci_empty([p], k, [config], tol)[0]
+
+
+def _loci_empty(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusVerdict]:
+    """is_locus_empty(pencils[i], k, configs[i], tol) for each i, the searches
+    run as _sample_loci runs them."""
     if k == 0:
-        locus = locus_zero(p, tol)
-        if locus.is_empty:
-            return LocusVerdict("EMPTY_EXACT")
-        return LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0])
-    sample = sample_locus(p, k, config, tol)
+        loci = [locus_zero(p, tol) for p in pencils]
+        return [LocusVerdict("EMPTY_EXACT") if locus.is_empty
+                else LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0]) for locus in loci]
+    return [_sampled_verdict(p, sample)
+            for p, sample in zip(pencils, _sample_loci(pencils, k, configs, tol))]
+
+
+def _sampled_verdict(p: Pencil, sample: LocusSample) -> LocusVerdict:
     if sample.trivial:
         witness = ProjectivePoint.of(np.eye(p.ambient_dim)[0])
         return LocusVerdict("NONEMPTY_WITNESS", witness=witness, min_residual=0.0)

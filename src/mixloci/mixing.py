@@ -13,8 +13,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
-from .loci import (Pencil, ProjectivePoint, SearchConfig, is_locus_empty, locus_zero,
-                   pencil_from_ensemble, sample_locus)
+from .loci import (_MAX_STARTS, Pencil, ProjectivePoint, SearchConfig, _loci_empty,
+                   locus_zero, pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
                      eigen_ensemble, partial_trace, random_density, rank_cut, schmidt_rank,
@@ -238,8 +238,11 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     """
     if target.shape != component.shape:
         raise ShapeMismatch("target and component shapes differ")
-    target_pencil = pencil_from_ensemble(eigen_ensemble(target, tol), side)
-    max_k = target_pencil.max_rank_bound()
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    # the target pencil's blocks are n (side A) or m (side B) by its support's size
+    max_k = min(target.shape.n if side == "A" else target.shape.m,
+                support(target, tol).eigenvalues.size)
     if k is None:
         ks = range(0, max_k)
     else:
@@ -255,6 +258,7 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test,
                           refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
                                   f"the rank cut {cut:.3e}")
+    target_pencil = pencil_from_ensemble(eigen_ensemble(target, tol), side)
     component_pencil = pencil_from_ensemble(eigen_ensemble(component, tol), side)
     all_stats = {}
     for kk in ks:
@@ -346,19 +350,19 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     predicate = generic_empty_predicate(q)
     codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
-    nonempty = 0
-    residuals = []
-    witnesses = []
-    for trial in range(q.trials):
-        rho = random_density(shape, q.r, seed=[q.seed, trial])
-        pencil = pencil_from_ensemble(eigen_ensemble(rho, tol), "A")
-        trial_config = replace(config, seed=config.seed + trial)
-        verdict = is_locus_empty(pencil, q.t, trial_config, tol)
-        if verdict.status == "NONEMPTY_WITNESS":
-            nonempty += 1
-        witnesses.append(verdict.witness)
-        if verdict.min_residual is not None:
-            residuals.append(verdict.min_residual)
+    verdicts = []
+    # the trials share _descend batches of at most _MAX_STARTS rows, so no batch
+    # needs more memory than the largest single search
+    per_batch = _MAX_STARTS // config.starts
+    for lo in range(0, q.trials, per_batch):
+        trials = range(lo, min(lo + per_batch, q.trials))
+        pencils = [pencil_from_ensemble(eigen_ensemble(
+            random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in trials]
+        configs = [replace(config, seed=config.seed + trial) for trial in trials]
+        verdicts += _loci_empty(pencils, q.t, configs, tol)
+    nonempty = sum(v.status == "NONEMPTY_WITNESS" for v in verdicts)
+    residuals = [v.min_residual for v in verdicts if v.min_residual is not None]
+    witnesses = [v.witness for v in verdicts]
     fraction = nonempty / q.trials if q.trials > 0 else None
     summary = {}
     if residuals:

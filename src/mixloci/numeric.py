@@ -36,8 +36,9 @@ class ToleranceConfig:
         sigma_max = np.linalg.norm(matrix, 2) if matrix.size else 0.0
         return self.threshold_from_sigma(sigma_max, *matrix.shape)
 
-    def threshold_from_sigma(self, sigma_max: float, rows: int, cols: int) -> float:
-        return max(self.rank_rel_tol * sigma_max * max(rows, cols), self.abs_floor)
+    def threshold_from_sigma(self, sigma_max, rows: int, cols: int):
+        """The threshold for a largest singular value, or elementwise for an array of them."""
+        return np.maximum(self.rank_rel_tol * sigma_max * max(rows, cols), self.abs_floor)
 
     def rank(self, s: np.ndarray, rows: int, cols: int) -> int:
         """Number of the singular values s (nonincreasing) of a rows x cols

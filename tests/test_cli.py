@@ -347,6 +347,7 @@ def state_docs(draw):
 @example(OVERFLOWING_STATES[0])
 @example(OVERFLOWING_STATES[1])
 @example(OVERFLOWING_STATES[2])
+@example({"m": 1, "n": 2, "matrix": [[-2.00001, 0], [0, 0], [0, 1e150], [2, 0]]})  # trace 1e-5
 def test_any_json_document_loads_or_raises_state_file_error(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"

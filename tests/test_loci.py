@@ -231,12 +231,15 @@ def test_search_kernel_has_no_width_dependence(name, monkeypatch):
         assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
         assert (reason_i[0], rounds_i[0]) == (reason[i], rounds[i])
 
-    # with stop_at_first the run ends at the first hit, or at the last start
+    # with stop_at_first the run ends at the first hit, or at the last start;
+    # the starts after it are dropped
     first = int(np.argmax(hit)) if hit.any() else 23
     config = replace(config, stop_at_first=True)
-    r_s, f_s, reason_s, _ = _descend(p, 2, R0, config, TOL)
-    assert np.array_equal(r_s, r[:first + 1]) and np.array_equal(f_s, f[:first + 1])
-    assert np.array_equal(reason_s, reason[:first + 1])
+    r_s, f_s, reason_s, rounds_s = _descend(p, 2, R0, config, TOL)
+    ran = reason_s != ""
+    assert np.array_equal(ran, np.arange(24) <= first) and not rounds_s[~ran].any()
+    assert np.array_equal(r_s[ran], r[:first + 1]) and np.array_equal(f_s[ran], f[:first + 1])
+    assert np.array_equal(reason_s[ran], reason[:first + 1])
 
     calls = []
     monkeypatch.setattr(loci, "_descend", lambda *args: calls.append(1) or _descend(*args))
@@ -254,6 +257,105 @@ def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     # the batch lasts as long as its longest-running start up to the first hit
     assert sample.search_stats == {"starts": 24, "converged": first + 1 - counts["max_iter"],
                                    "rounds": rounds[:first + 1].max(), **counts}
+
+
+def pairwise_points(r, f):
+    """The hit reduction written as one same_point test per pair: each hit
+    against the points kept before it, then sorted by the report key and cut
+    at 64 points."""
+    def sort_key(q):
+        rounded = np.round(q.coords, 6)
+        return (tuple(np.round(np.abs(q.coords), 6)),
+                tuple(x for c in rounded for x in (c.real, c.imag)))
+    found = []
+    for coords, residual in zip(r, f):
+        candidate = ProjectivePoint.of(coords)
+        if not any(candidate.same_point(q) for q, _ in found):
+            found.append((candidate, residual))
+    found.sort(key=lambda item: sort_key(item[0]))
+    return found[:64]
+
+
+def near(v, w, gap):
+    """The unit vector on the great circle from v towards w with 1 - |<v, .>| = gap."""
+    w = w - np.vdot(v, w) * v
+    angle = np.arccos(1.0 - gap)
+    return np.cos(angle) * v + np.sin(angle) * w / np.linalg.norm(w)
+
+
+def reduce_hits(monkeypatch, hits, f, reason):
+    """sample_locus's points and residuals when its one _descend batch ends at hits."""
+    calls = []
+    rounds = np.ones(len(hits), dtype=int)
+    monkeypatch.setattr(loci, "_descend", lambda *args: calls.append(1) or (hits, f, reason, rounds))
+    sample = sample_locus(empty_locus_pencil(), 1, SearchConfig(starts=len(hits), seed=0), TOL)
+    assert len(calls) == 1
+    return sample
+
+
+def test_hit_reduction_matches_the_pairwise_rule(monkeypatch):
+    rng = np.random.default_rng(7)
+    unit = lambda x: x / np.linalg.norm(x)
+    bases = [unit(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(90)]
+    bases[:4] = [unit(np.array(c, dtype=complex)) for c in ([0, 1, 0, 0], [0, 0, 1j, 0],
+                                                            [0, 1, 1, 0], [1, 1e-7, 0, 0])]
+    hits = list(bases)
+    for i, v in enumerate(bases[:40]):
+        w = bases[i + 40]
+        hits += [v.copy(), np.exp(0.7j * i) * v, 3.0 * v,  # exact and rotated duplicates
+                 near(v, w, 0.5e-9), near(v, w, 0.999e-9),  # inside _POINT_TOL
+                 near(v, w, 1.001e-9), np.exp(-1j) * near(v, w, 2e-9)]  # outside it
+    hits = np.array(hits)
+    hits = hits[rng.permutation(len(hits))]  # > 256 hits: more than one block of the reduction
+    f = rng.uniform(0, 1e-10, len(hits))
+    hit = rng.uniform(size=len(hits)) < 0.9
+    for count in (0, 1, 2, 30, hit.sum()):
+        rows = np.flatnonzero(hit)[:count]
+        sample = reduce_hits(monkeypatch, hits, f, np.where(np.isin(np.arange(len(hits)), rows),
+                                                            "hit", "stalled"))
+        expected = pairwise_points(hits[rows], f[rows])
+        assert len(sample.points) == len(expected)
+        for pt, res, (q, res_q) in zip(sample.points, sample.residuals, expected):
+            assert np.array_equal(pt.coords, q.coords) and res == res_q
+    assert len(expected) == 64  # of the more than 64 points of all hits
+
+    # just inside and just outside _POINT_TOL of the first hit, and a chain
+    # whose middle is the same point as both ends while the ends differ
+    v, w = bases[4], bases[5]
+    for gaps, kept in [((0.0, 0.999e-9, 1.001e-9), [0, 2]), ((0.0, 0.8e-9, 3.2e-9), [0, 2]),
+                       ((0.8e-9, 0.0, 3.2e-9), [0])]:
+        hits = np.array([near(v, w, gap) for gap in gaps])
+        f = np.array([1e-12, 2e-12, 3e-12])
+        sample = reduce_hits(monkeypatch, hits, f, np.array(["hit"] * 3))
+        assert sorted(sample.residuals) == f[kept].tolist()
+        assert [q.coords.tolist() for q in sample.points] == \
+            [q.coords.tolist() for q, _ in pairwise_points(hits, f)]
+
+
+def test_searches_batched_together_equal_searches_alone(monkeypatch):
+    # pencils of three block shapes, two trivial ones (rank 2 < k + 1, and
+    # zero), with and without stop_at_first
+    S33 = BipartiteShape(3, 3)
+    pencils = [pencil_from_ensemble(eigen_ensemble(random_density(S33, r, seed=[4, i]), TOL), "A")
+               for i, r in enumerate((3, 4, 3, 2, 4, 3))]
+    pencils += [pencil_of("example4.json"), Pencil(np.zeros((3, 3, 3), dtype=complex))]
+    rows = []
+    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[2])) or _descend(*args))
+    for stop_at_first in (False, True):
+        configs = [SearchConfig(starts=16, seed=i, stop_at_first=stop_at_first)
+                   for i in range(len(pencils))]
+        rows.clear()
+        batched = loci._sample_loci(pencils, 2, configs, TOL)
+        assert rows == [48, 32, 16]  # one batch per block shape: rank 3, rank 4, example4
+        for p, config, sample in zip(pencils, configs, batched):
+            alone = sample_locus(p, 2, config, TOL)
+            assert [q.coords.tolist() for q in sample.points] == \
+                [q.coords.tolist() for q in alone.points]
+            assert sample.residuals == alone.residuals and sample.trivial == alone.trivial
+            assert sample.search_stats == alone.search_stats
+            assert sample.min_residual_seen == alone.min_residual_seen
+        assert batched[3].trivial and batched[7].trivial
+        assert any(len(s.points) > 1 for s in batched) != stop_at_first
 
 
 def test_stalled_starts_end_near_where_unstopped_ones_do(monkeypatch):

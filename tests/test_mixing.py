@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceCo
                      forces_separable, generic_empty_predicate, hermitian_form, majorizes,
                      make_ensemble, make_pure, mix, monte_carlo_genericity,
                      pencil_from_ensemble, random_density, random_pure, schmidt_rank_cap)
+from mixloci import is_locus_empty, loci
 from mixloci.errors import InvalidK, ParameterOutOfRange
 from mixloci.loci import ProjectivePoint, SearchConfig, rank_at
 from mixloci.numeric import numerical_rank
@@ -211,6 +214,20 @@ def test_check_component_necessary_errors():
         check_component_necessary(target, bell)
     with pytest.raises(InvalidK):
         check_component_necessary(target, target, "A", 99, CONFIG, TOL)
+    with pytest.raises(ShapeMismatch):
+        check_component_necessary(target, bell, "C", 99, CONFIG, TOL)  # shape first
+    with pytest.raises(ValueError):
+        check_component_necessary(target, target, "C", 99, CONFIG, TOL)  # then side, then k
+    # k stops below the block size of the target's pencil: 3 on side A, 2 on side B
+    rho = random_density(BipartiteShape(2, 3), 6, seed=1)
+    for side, max_k in (("A", 3), ("B", 2)):
+        assert pencil_from_ensemble(eigen_ensemble(rho, TOL), side).max_rank_bound() == max_k
+        assert check_component_necessary(rho, rho, side, max_k - 1, CONFIG, TOL).range_test.contained
+        with pytest.raises(InvalidK):
+            check_component_necessary(rho, rho, side, max_k, CONFIG, TOL)
+    rho = random_density(BipartiteShape(3, 3), 2, seed=1)  # rank 2: blocks 3 x 2
+    with pytest.raises(InvalidK):
+        check_component_necessary(rho, rho, "A", 2, CONFIG, TOL)
 
 
 def test_certificate_reverifies_from_scratch():
@@ -304,3 +321,25 @@ def test_monte_carlo_genericity_zero_trials():
     report = monte_carlo_genericity(GenericityQuery(3, 3, 3, 2, 0), CONFIG, TOL)
     assert report.nonempty_fraction is None
     assert report.residual_summary == {}
+
+
+@pytest.mark.parametrize("m, n, r, t, trials, starts, batches", [
+    (4, 4, 4, 2, 10, 16, [160]), (3, 3, 3, 2, 10, 16, [160]), (3, 3, 4, 1, 10, 16, [160]),
+    (3, 3, 3, 2, 5, 1366, [2732, 2732, 1366])])  # 4096 // 1366 = 2 trials a batch
+def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, starts, batches,
+                                                       monkeypatch):
+    config = SearchConfig(starts=starts, seed=5, stop_at_first=True)
+    alone = []
+    for trial in range(trials):
+        rho = random_density(BipartiteShape(m, n), r, seed=[2, trial])
+        alone.append(is_locus_empty(pencil_from_ensemble(eigen_ensemble(rho, TOL), "A"), t,
+                                    replace(config, seed=5 + trial), TOL))
+    rows = []
+    descend = loci._descend
+    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[2])) or descend(*args))
+    report = monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=2), config, TOL)
+    assert rows == batches
+    assert report.nonempty_fraction == sum(v.status == "NONEMPTY_WITNESS" for v in alone) / trials
+    assert report.min_residuals == tuple(v.min_residual for v in alone)
+    for w, v in zip(report.witnesses, alone):
+        assert (w is None and v.witness is None) or np.array_equal(w.coords, v.witness.coords)
