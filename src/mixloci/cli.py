@@ -104,16 +104,17 @@ def _cmd_locus(args, tol: ToleranceConfig) -> int:
     inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
     if args.k == 0:
         locus = locus_zero(pencil, tol)
+        points = locus.points()
         data = {
             "projective_dimension": locus.projective_dimension,
             "basis": [complex_to_pairs(locus.basis[:, j])
                       for j in range(locus.basis.shape[1])],
-            "points": [complex_to_pairs(pt.coords) for pt in locus.points()],
+            "points": [complex_to_pairs(pt.coords) for pt in points],
         }
         verdict = "EMPTY" if locus.is_empty else "NONEMPTY"
         human = (f"V_{args.side}^0: dimension {locus.projective_dimension}"
                  + ("" if locus.is_empty else
-                    f", points {[np.round(pt.coords, 6).tolist() for pt in locus.points()]}"))
+                    f", points {[np.round(pt.coords, 6).tolist() for pt in points]}"))
         return _emit(args, _report(args, "locus", inputs, verdict, data), human)
     config = SearchConfig(starts=args.starts, seed=args.seed)
     sample = sample_locus(pencil, args.k, config, tol)

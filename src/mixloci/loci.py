@@ -30,6 +30,7 @@ _RCOND = 1e-12  # relative cut on the singular values of the projected normal ma
 _STALL_RTOL = 1e-5  # a step predicted to remove less than this share of ||tail||^2 is a stall
 _MAX_CLUSTERS = 64  # distinct points a search reports
 _MAX_STARTS = 4096  # largest SearchConfig.starts: the starts are drawn at once
+_BATCH_BYTES = 16 * 2**20  # kernel memory a batch of several searches may take (see _row_bytes)
 _REASONS = ("hit", "stalled", "max_iter")  # why a start stopped
 
 
@@ -45,18 +46,37 @@ class ProjectivePoint:
 
     @staticmethod
     def of(raw) -> "ProjectivePoint":
-        v = np.asarray(raw, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm < 1e-300:
-            raise ValueError("projective point cannot be the zero vector")
-        v = v / norm
-        moduli = np.abs(v)
-        pivot = int(np.argmax(moduli > moduli.max() - 1e-14))
-        phase = v[pivot] / abs(v[pivot])
-        return ProjectivePoint(v * phase.conjugate())
+        return ProjectivePoint(_canonical(np.asarray(raw, dtype=complex).reshape(1, -1))[0])
 
     def same_point(self, other: "ProjectivePoint", tol: float = _POINT_TOL) -> bool:
         return 1.0 - abs(np.vdot(self.coords, other.coords)) <= tol
+
+
+def _canonical(V: np.ndarray) -> np.ndarray:
+    """The canonical form of each row of the complex (points, d) array V.  The
+    norm is two BLAS dot products (real parts, imaginary parts) and the phase
+    divides by a hypot, as np.linalg.norm and scalar abs take them, so every
+    row's form is bit-equal to its own, whatever the rows beside it."""
+    re, im = V.real, V.imag
+    norm = np.sqrt((re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0])
+    if (norm < 1e-300).any():
+        raise ValueError("projective point cannot be the zero vector")
+    V = V / norm[:, None]
+    moduli = np.abs(V)
+    pivot = np.argmax(moduli > moduli.max(axis=1, keepdims=True) - 1e-14, axis=1)
+    q = V[np.arange(len(V)), pivot]
+    return V * (q / np.hypot(q.real, q.imag)).conj()[:, None]
+
+
+def _running_sum(terms) -> np.ndarray:
+    """t_0 + t_1 + ... added left to right into t_0, a fresh array: the same
+    additions as np.add.accumulate, which no pairwise or blocked reduction
+    reorders, without holding the terms or partial sums at once."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        total += t
+    return total
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,7 @@ class LinearLocus:
         return self.basis.shape[1] - 1
 
     def points(self) -> list[ProjectivePoint]:
-        return [ProjectivePoint.of(self.basis[:, j]) for j in range(self.basis.shape[1])]
+        return [ProjectivePoint(c) for c in _canonical(np.ascontiguousarray(self.basis.T))]
 
     @property
     def is_empty(self) -> bool:
@@ -197,17 +217,41 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_sum(parts * parts))
 
 
-def _normal_map(p: Pencil, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row r of R: the singular values s of M(r) = U S V^dagger and the
-    normal map J, column i vec(U0^dagger A_i V0) with U0 = U[:, k:] and
-    V0 = V[:, k:]; M is linear, so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.
-    The SVD is full: a thin V lacks the directions M kills when cols > rows."""
-    U, s, Vh = np.linalg.svd(p.evaluate(R), full_matrices=True)
+def _pencil_svd(p: Pencil, R: np.ndarray):
+    """Full SVD M(r) = U S V^dagger per row r of R: a thin V lacks the
+    directions M kills when cols > rows."""
+    return np.linalg.svd(p.evaluate(R), full_matrices=True)
+
+
+def _normal_map(p: Pencil, U: np.ndarray, Vh: np.ndarray, k: int) -> np.ndarray:
+    """Per row of _pencil_svd's U and Vh: the normal map J, column i
+    vec(U0^dagger A_i V0) with U0 = U[:, k:] and V0 = V[:, k:]; M is linear,
+    so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.  Both products are
+    running sums over the contracted index, so no term outlives its addition."""
+    rows, cols = p.blocks.shape[-2:]
     U0h = U[..., k:].conj().swapaxes(-1, -2)  # (S, rows-k, rows)
     V0t = Vh[..., k:, :].conj()  # (S, cols-k, cols): V0 transposed
-    left = _row_sum(U0h[:, None, :, None, :] * p.blocks.swapaxes(-1, -2)[..., None, :, :])
-    J = _row_sum(left[:, :, :, None, :] * V0t[:, None, None])  # (S, d, rows-k, cols-k)
-    return s, J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
+    left = _running_sum(U0h[:, None, :, None, j] * p.blocks[..., None, j, :]
+                        for j in range(rows))  # (S, d, rows-k, cols)
+    J = _running_sum(left[..., None, l] * V0t[:, None, None, :, l]
+                     for l in range(cols))  # (S, d, rows-k, cols-k)
+    return J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
+
+
+def _row_bytes(block_shape: tuple, k: int) -> int:
+    """Bytes _descend holds per row, at its peak, on a batch with one pencil
+    per row of blocks (ambient, rows, cols): five arrays the size of the
+    row's blocks (the caller's, the live rows', the step's, and the pencil
+    evaluation's terms and partial sums) and three the size of the normal
+    map's first running sum, of 16-byte entries."""
+    d, rows, cols = block_shape
+    return 16 * (5 * d * rows * cols + 3 * d * (rows - k) * cols)
+
+
+def _searches_per_batch(block_shape: tuple, k: int, starts: int) -> int:
+    """How many searches of `starts` starts on pencils of block_shape one
+    _descend batch takes within _BATCH_BYTES; at least one."""
+    return max(1, _BATCH_BYTES // (_row_bytes(block_shape, k) * starts))
 
 
 def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
@@ -232,8 +276,10 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     in lockstep.  A round moves each live start by the step dr of its normal
     map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
     sigma_{k+1} <= _POLISH times the rank threshold, after _MAX_ITER rounds,
-    or when its step stalls (see _gauss_newton_step).  Sums are row sums and
-    SVDs stacked (one LAPACK call per matrix), so no path depends on the batch.
+    or when its step stalls (see _gauss_newton_step); the step is built only
+    for the starts the first two rules let go on.  Sums run in index order and
+    SVDs are stacked (one LAPACK call per matrix), so no path depends on the
+    batch.
 
     p.blocks is one (ambient, rows, cols) stack for every row, or one stack
     per row, (S, ambient, rows, cols).  trial numbers each row's search, from
@@ -260,16 +306,24 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     n = 0  # rounds run
     while ids.size:
         n += 1
-        s, J = _normal_map(p, r, k)
-        b = np.zeros((ids.size, rows - k, cols - k), dtype=complex)
-        b[:, diag, diag] = s[:, k:]
-        dr, stalled = _gauss_newton_step(J, b.reshape(ids.size, -1), r)
+        U, s, Vh = _pencil_svd(p, r)
         f, smax = s[:, k], s[:, 0]
         better = f < f_best[ids]
         i = ids[better]
         f_best[i], smax_best[i], r_best[i] = f[better], smax[better], r[better]
         polished = f <= _POLISH * tol.threshold_from_sigma(smax, rows, cols)
-        going = ~(polished | stalled) if n < _MAX_ITER else np.zeros(ids.size, dtype=bool)
+        going = ~polished if n < _MAX_ITER else np.zeros(ids.size, dtype=bool)
+        stepping = np.count_nonzero(going)
+        if stepping:
+            # a step only for the starts that may go on, subset when some stop
+            at = slice(None) if stepping == ids.size else np.flatnonzero(going)
+            q = Pencil(p.blocks[at]) if p.blocks.ndim == 4 and stepping < ids.size else p
+            U, Vh = U[at], Vh[at]
+            b = np.zeros((stepping, rows - k, cols - k), dtype=complex)
+            b[:, diag, diag] = s[at, k:]
+            dr, stalled = _gauss_newton_step(_normal_map(q, U, Vh, k),
+                                             b.reshape(stepping, -1), r[at])
+            going[at] = ~stalled
         if not going.all():
             i = ids[~going]
             hit = polished[~going] | (f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols))
@@ -285,9 +339,12 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
                 dropped = np.arange(S) > end[trial]
                 reason[dropped], rounds[dropped] = "", 0
                 going &= ~dropped[ids]
-            ids, r, dr = ids[going], r[going], dr[going]
+            if not stepping:
+                break
+            keep = going[at]  # of the rows that stepped
+            ids, r, dr = ids[going], r[going], dr[keep]
             if p.blocks.ndim == 4:
-                p = Pencil(p.blocks[going])
+                p = Pencil(q.blocks[keep])
         r = r + dr
         r /= _row_norm(r)[:, None]
     return r_best, f_best, reason, rounds
@@ -332,13 +389,12 @@ def _distinct_points(r: np.ndarray, f: np.ndarray) -> tuple[tuple, tuple]:
     if len(r) > 1:
         kept = _first_of_each_point(r / np.linalg.norm(r, axis=1)[:, None])
         r, f = r[kept], f[kept]
-    points = [ProjectivePoint.of(x) for x in r]
-    if len(points) > 1:
-        C = np.array([q.coords for q in points])
+    C = _canonical(r)
+    if len(C) > 1:
         parts = np.round(C, 6).view(np.float64)  # re, im of each coordinate in turn
-        order = np.lexsort(np.hstack([np.round(np.abs(C), 6), parts]).T[::-1])
-        points, f = [points[j] for j in order[:_MAX_CLUSTERS]], f[order[:_MAX_CLUSTERS]]
-    return tuple(points), tuple(f)
+        order = np.lexsort(np.hstack([np.round(np.abs(C), 6), parts]).T[::-1])[:_MAX_CLUSTERS]
+        C, f = C[order], f[order]
+    return tuple(ProjectivePoint(c) for c in C), tuple(f)
 
 
 def _sample(r, f, reason, rounds, starts: int) -> LocusSample:
@@ -356,7 +412,7 @@ def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSa
     """sample_locus(pencils[i], k, configs[i], tol) for each i.  The configs
     differ in seed at most.  The searches of one block shape run as one
     _descend batch, each pencil's blocks on its starts' rows, so the caller
-    keeps len(pencils) * starts within _MAX_STARTS.  No row depends on the
+    keeps their number within _searches_per_batch.  No row depends on the
     batch, so each sample is the one its search gives alone."""
     if k < 0:
         raise InvalidK("rank bound k must be nonnegative")
@@ -400,10 +456,10 @@ def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
     vanishes to second order, so the estimate is the bound ambient - 1."""
     if not in_locus(p, k, point, tol):
         raise NotOnLocus("point is not on the requested locus")
-    s, J = _normal_map(p, point.coords[None], k)
+    U, s, Vh = _pencil_svd(p, point.coords[None])
     if tol.rank(s[0], *p.block_shape) < k:
         return p.ambient_dim - 1
-    return p.ambient_dim - 1 - numerical_rank(J[0], tol)
+    return p.ambient_dim - 1 - numerical_rank(_normal_map(p, U, Vh, k)[0], tol)
 
 
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),

@@ -13,7 +13,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
-from .loci import (_MAX_STARTS, Pencil, ProjectivePoint, SearchConfig, _loci_empty,
+from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, _searches_per_batch,
                    locus_zero, pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
@@ -351,9 +351,8 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
     verdicts = []
-    # the trials share _descend batches of at most _MAX_STARTS rows, so no batch
-    # needs more memory than the largest single search
-    per_batch = _MAX_STARTS // config.starts
+    # the trials share _descend batches within the kernel's byte budget
+    per_batch = _searches_per_batch((q.m, q.n, q.r), q.t, config.starts)
     for lo in range(0, q.trials, per_batch):
         trials = range(lo, min(lo + per_batch, q.trials))
         pencils = [pencil_from_ensemble(eigen_ensemble(

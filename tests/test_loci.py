@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOutOfRange,
                      ToleranceConfig, check_component_necessary, density_from_ensemble, eigen_ensemble, hermitian_form,
@@ -12,7 +14,7 @@ from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOut
                      make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
                      rank_at, sample_locus)
 from mixloci import loci
-from mixloci.loci import InvalidK, Pencil, ProjectivePoint, SearchConfig, _descend
+from mixloci.loci import InvalidK, LinearLocus, Pencil, ProjectivePoint, SearchConfig, _descend
 
 from conftest import (assert_pencil_matches_paper, load_fixture,
                       paper_pencil_example2_component, paper_pencil_example2_target,
@@ -38,6 +40,47 @@ def test_projective_point_canonical_form():
     assert p.coords[pivot].real > 0
     assert p.same_point(ProjectivePoint.of([-3j, 6j]))
     assert not p.same_point(point(1, 0))
+    for raw in ([0, 0], [0j], np.zeros((1, 3))):
+        with pytest.raises(ValueError):
+            ProjectivePoint.of(raw)
+    with pytest.raises(ValueError):  # one zero row among others
+        LinearLocus(np.array([[1, 0], [2j, 0]])).points()
+
+
+def scalar_canonical(raw):
+    """The canonical form one point at a time, as ProjectivePoint.of computed
+    it before the batched form: the reference the batched form must match."""
+    v = np.asarray(raw, dtype=complex).ravel()
+    norm = np.linalg.norm(v)
+    if norm < 1e-300:
+        raise ValueError("projective point cannot be the zero vector")
+    v = v / norm
+    moduli = np.abs(v)
+    pivot = int(np.argmax(moduli > moduli.max() - 1e-14))
+    phase = v[pivot] / abs(v[pivot])
+    return v * phase.conjugate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([1, 2, 65, 130]), st.sampled_from([1e-3, 1.0, 1e5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_canonical_form_equals_the_scalar_one(d, count, scale, seed):
+    rng = np.random.default_rng(seed)
+    V = scale * (rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)))
+    V[rng.uniform(size=V.shape) < 0.25] = 0  # zero coordinates
+    for row in V[rng.uniform(size=count) < 0.5]:
+        # modulus ties: coordinates turned by exact quarter turns and reflections
+        i, j = rng.integers(d, size=2)
+        row[j] = row[i] * rng.choice([1, -1, 1j, -1j])
+        if rng.uniform() < 0.5:
+            row[rng.integers(d)] = np.conj(row[i])
+    V[np.abs(V).max(axis=1) == 0, rng.integers(d)] = scale  # no zero rows
+    expected = np.array([scalar_canonical(v) for v in V])
+    # bit for bit, signed zeros included
+    same = lambda A: np.array_equal(np.asarray(A).view(np.int64), expected.view(np.int64))
+    assert same(loci._canonical(V))
+    assert same([ProjectivePoint.of(v).coords for v in V])
+    assert same([q.coords for q in LinearLocus(np.ascontiguousarray(V.T)).points()])
 
 
 def test_pencil_single_member():
@@ -259,6 +302,36 @@ def test_search_kernel_has_no_width_dependence(name, monkeypatch):
                                    "rounds": rounds[:first + 1].max(), **counts}
 
 
+@pytest.mark.parametrize("name, max_iter", [("example4.json", None), ("example2_target.json", None),
+                                            ("empty", None), ("empty", 6)])
+def test_no_start_takes_a_step_in_the_round_it_stops(name, max_iter, monkeypatch):
+    p = empty_locus_pencil() if name == "empty" else pencil_of(name)
+    if max_iter:
+        monkeypatch.setattr(loci, "_MAX_ITER", max_iter)
+    stepped, stalls = [], []
+    step = loci._gauss_newton_step
+
+    def counted(J, b, r):
+        dr, stalled = step(J, b, r)
+        stepped.append(len(r))
+        stalls.append(int(stalled.sum()))
+        return dr, stalled
+
+    monkeypatch.setattr(loci, "_gauss_newton_step", counted)
+    config = SearchConfig(starts=24, seed=3)
+    _, _, reason, rounds = _descend(p, 2, drawn_starts(p, config), config, TOL)
+    # a start steps in every round it runs but its last, and in its last only
+    # when the step itself stalls: a start stopped by polishing or by
+    # _MAX_ITER takes no step in that round
+    quiet = 24 - sum(stalls)  # polished and _MAX_ITER stops
+    assert sum(stepped) == rounds.sum() - quiet
+    if name == "empty":
+        assert quiet == np.count_nonzero(reason == "max_iter")
+        assert (quiet > 0) == bool(max_iter)
+    else:
+        assert np.count_nonzero(reason == "hit") >= quiet > 0
+
+
 def pairwise_points(r, f):
     """The hit reduction written as one same_point test per pair: each hit
     against the points kept before it, then sorted by the report key and cut
@@ -269,7 +342,7 @@ def pairwise_points(r, f):
                 tuple(x for c in rounded for x in (c.real, c.imag)))
     found = []
     for coords, residual in zip(r, f):
-        candidate = ProjectivePoint.of(coords)
+        candidate = ProjectivePoint(scalar_canonical(coords))
         if not any(candidate.same_point(q) for q, _ in found):
             found.append((candidate, residual))
     found.sort(key=lambda item: sort_key(item[0]))

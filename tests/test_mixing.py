@@ -325,7 +325,8 @@ def test_monte_carlo_genericity_zero_trials():
 
 @pytest.mark.parametrize("m, n, r, t, trials, starts, batches", [
     (4, 4, 4, 2, 10, 16, [160]), (3, 3, 3, 2, 10, 16, [160]), (3, 3, 4, 1, 10, 16, [160]),
-    (3, 3, 3, 2, 5, 1366, [2732, 2732, 1366])])  # 4096 // 1366 = 2 trials a batch
+    (3, 3, 3, 2, 5, 1366, [5464, 1366]),  # 4 trials of 1366 rows of 2592 bytes fit 16 MiB
+    (4, 4, 4, 2, 5, 900, [1800, 1800, 900])])  # at 6656 bytes a row, 2 trials of 900 do
 def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, starts, batches,
                                                        monkeypatch):
     config = SearchConfig(starts=starts, seed=5, stop_at_first=True)
@@ -343,3 +344,16 @@ def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, start
     assert report.min_residuals == tuple(v.min_residual for v in alone)
     for w, v in zip(report.witnesses, alone):
         assert (w is None and v.witness is None) or np.array_equal(w.coords, v.witness.coords)
+
+
+@pytest.mark.parametrize("m, n, r, t, trials", [(6, 6, 12, 3, 30), (4, 4, 4, 2, 200)])
+def test_genericity_batches_keep_within_the_byte_budget(m, n, r, t, trials, monkeypatch):
+    batches = []
+    descend = loci._descend
+    monkeypatch.setattr(loci, "_descend", lambda *args: batches.append(
+        (len(args[2]), args[0].blocks.shape[-3:])) or descend(*args))
+    monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=1), CONFIG, TOL)
+    assert len(batches) > 1 and sum(rows for rows, _ in batches) == trials * CONFIG.starts
+    for rows, shape in batches:
+        assert shape == (m, n, r)
+        assert rows * loci._row_bytes(shape, t) <= loci._BATCH_BYTES
