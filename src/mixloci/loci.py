@@ -258,14 +258,25 @@ def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
                        r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, dr = -pinv(J (I - r r^dagger)) b by one stacked SVD: the least
     ||b + J dr|| of least norm, orthogonal to r (the projected J kills r), and
-    whether the start stalled: the step's model removes ||c||^2 from ||b||^2,
-    c = W^dagger b being the part of b the map reaches, and a stall is ||c||^2 <
-    _STALL_RTOL ||b||^2 (a product, not a ratio: b = 0 at exact locus points)."""
+    whether the start stalled.  It has stalled when
+    - the step's model removes too little: it removes ||c||^2 from ||b||^2,
+      c = W^dagger b being the part of b the map reaches, and a stall is
+      ||c||^2 < _STALL_RTOL ||b||^2 (a product, not a ratio: b = 0 at exact
+      locus points); or
+    - no step moves sigma_{k+1}: row 0 of the projected map, the tail entry
+      (0, 0), is u_{k+1}^dagger A_i v_{k+1}, whose real part against dr is
+      sigma_{k+1}'s first-order change, and its norm is at most _RCOND times
+      the map's largest singular value.  Where sigma_{k+1} = sigma_{k+2}
+      (sigma_{k+1} < sigma_k), sigma_{k+1}'s first-order shift is the top
+      eigenvalue of a Hermitian matrix with that (0, 0) entry, at least 0,
+      so no step lowers it there either: a stationary point."""
     Jr = _row_sum(J * r[:, None, :])
-    W, sigma, Vh = np.linalg.svd(J - Jr[:, :, None] * r.conj()[:, None, :], full_matrices=False)
+    JP = J - Jr[:, :, None] * r.conj()[:, None, :]
+    W, sigma, Vh = np.linalg.svd(JP, full_matrices=False)
     kept = sigma > _RCOND * sigma[:, :1]
     c = np.where(kept, _row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :]), 0.0)
-    stalled = _row_norm(c) ** 2 < _STALL_RTOL * _row_norm(b) ** 2
+    stalled = ((_row_norm(c) ** 2 < _STALL_RTOL * _row_norm(b) ** 2)
+               | (_row_norm(np.ascontiguousarray(JP[:, 0])) <= _RCOND * sigma[:, 0]))
     dr = -_row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
     return dr, stalled
 
@@ -276,10 +287,12 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     in lockstep.  A round moves each live start by the step dr of its normal
     map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
     sigma_{k+1} <= _POLISH times the rank threshold, after _MAX_ITER rounds,
-    or when its step stalls (see _gauss_newton_step); the step is built only
-    for the starts the first two rules let go on.  Sums run in index order and
-    SVDs are stacked (one LAPACK call per matrix), so no path depends on the
-    batch.
+    or when its step stalls: the step's model removes too little of the
+    tail, or the start sits where no step moves sigma_{k+1} to first order,
+    even inside a cluster of equal singular values (see _gauss_newton_step);
+    the step is built only for the starts the first two rules let go on.
+    Sums run in index order and SVDs are stacked (one LAPACK call per
+    matrix), so no path depends on the batch.
 
     p.blocks is one (ambient, rows, cols) stack for every row, or one stack
     per row, (S, ambient, rows, cols).  trial numbers each row's search, from

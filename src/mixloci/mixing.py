@@ -13,8 +13,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
-from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, _searches_per_batch,
-                   locus_zero, pencil_from_ensemble, sample_locus)
+from .loci import (Pencil, ProjectivePoint, SearchConfig, _canonical, _loci_empty,
+                   _searches_per_batch, locus_zero, pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
                      eigen_ensemble, partial_trace, random_density, rank_cut, schmidt_rank,
@@ -188,12 +188,13 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
         locus = locus_zero(pencil, tol)
         points = locus.points()
         if locus.projective_dimension >= 1:
-            # positive-dimensional subspace: add random combinations as extra probes
-            rng = np.random.default_rng(config.seed)
-            for _ in range(8):
-                coeff = rng.standard_normal(locus.basis.shape[1]) \
-                    + 1j * rng.standard_normal(locus.basis.shape[1])
-                points.append(ProjectivePoint.of(locus.basis @ coeff))
+            # positive-dimensional subspace: add random combinations as extra probes,
+            # per probe its real parts, then its imaginary parts; one product per
+            # probe, as a stacked product rounds differently
+            draws = np.random.default_rng(config.seed).standard_normal(
+                (8, 2, locus.basis.shape[1]))
+            probes = np.array([locus.basis @ c for c in draws[:, 0] + 1j * draws[:, 1]])
+            points += [ProjectivePoint(c) for c in _canonical(probes)]
         return points, {"mode": "exact", "dimension": locus.projective_dimension}
     sample = sample_locus(pencil, k, config, tol)
     stats = dict(sample.search_stats)

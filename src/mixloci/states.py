@@ -11,7 +11,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import RankOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
+from .errors import (ParameterOutOfRange, RankOutOfRange, ShapeMismatch, WeightSumInvalid,
+                     ZeroVector)
 from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
 
 __all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
@@ -178,9 +179,13 @@ def rank_cut(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> fl
 
 def support(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> EigResult:
     """rho's stored eigenpairs above the rank threshold: eigen_ensemble's
-    members, and a basis of rho's range."""
+    members, and a basis of rho's range.  A tolerance that cuts every
+    eigenvalue leaves no state to work on and is refused."""
     eig = rho.spectrum
-    kept = eig.eigenvalues > rank_cut(rho, tol)
+    cut = rank_cut(rho, tol)
+    kept = eig.eigenvalues > cut
+    if not kept.any():
+        raise ParameterOutOfRange(f"no eigenvalue lies above the rank cut {cut:.3e}")
     return EigResult(eig.eigenvalues[kept], eig.eigenvectors[:, kept])
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -378,11 +380,95 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("--seed", "-1", "locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "2"),
     ("--seed", "-1", "genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "2",
      "--trials", "1"),
+    # a rank cut above every eigenvalue leaves no state
+    ("--tol-rank", "0.5", "check-mix", "--target", fixture("example2_target.json"),
+     "--component", fixture("example2_component.json")),
+    ("--tol-rank", "0.5", "bounds", "--state", fixture("example4.json")),
+    ("--tol-rank", "0.5", "genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "1",
+     "--trials", "1"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
-        "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative"])
+        "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
+        "check_mix_cut_above_spectrum", "bounds_cut_above_spectrum",
+        "genericity_cut_above_spectrum"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2
     lines = completed.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+
+
+# argv tokens: values small enough that no request searches much (at most 3
+# starts, 3 trials and 3x3 states), and fixture paths of several shapes
+FIXTURE_PATHS = [str(fixture(name)) for name in (
+    "example1.json", "example2_target.json", "example2_component.json", "example4.json",
+    "bell.json", "maximally_mixed_2x2.json")]
+INT_TOKENS = ["-1", "0", "1", "2", "3"]
+ARGV_TOKENS = INT_TOKENS + ["0.5", "1e300", "nan", "inf", "all", "A", "B", "0.5,0.5",
+                            *FIXTURE_PATHS]
+# each flag's likely values, so that most requests get past the parser
+FLAG_TOKENS = {
+    **dict.fromkeys(["--seed", "--starts", "--trials"], INT_TOKENS),
+    **dict.fromkeys(["--m", "--n", "--r"], INT_TOKENS[2:]), "--t": INT_TOKENS[1:4],
+    **dict.fromkeys(["--tol-rank", "--tol-floor"], ["0", "0.5", "1e300", "nan", "inf"]),
+    **dict.fromkeys(["--state", "--target", "--component", "--components"], FIXTURE_PATHS),
+    "--side": ["A", "B"], "--k": INT_TOKENS + ["all"],
+    "--p": ["1", "0.5,0.5", "0.5", "nan", "1e300"], "--weights": ["1", "0.5,0.5", "0.5", "inf"],
+    "--reduced": []}
+# each subcommand's flags, the ones it needs first
+COMMAND_FLAGS = {"locus": ["--state", "--k", "--side", "--starts"],
+                 "check-mix": ["--target", "--component", "--side", "--k", "--starts"],
+                 "bounds": ["--state"],
+                 "majorize": ["--target", "--p", "--components", "--weights", "--reduced"],
+                 "genericity": ["--m", "--n", "--r", "--t", "--trials", "--starts"]}
+REQUIRED = {"locus": 2, "check-mix": 2, "bounds": 1, "majorize": 2, "genericity": 4}
+
+
+@st.composite
+def flag_and_value(draw, flags):
+    """A flag and, one time in four, any token as its value, else a likely one."""
+    flag = draw(st.sampled_from(flags))
+    if not FLAG_TOKENS[flag]:
+        return [flag]
+    likely = FLAG_TOKENS[flag] if draw(st.integers(0, 3)) else ARGV_TOKENS
+    return [flag, draw(st.sampled_from(likely))]
+
+
+@st.composite
+def argvs(draw):
+    argv = sum(draw(st.lists(flag_and_value(["--tol-rank", "--tol-floor", "--seed"]),
+                             max_size=1)), [])
+    if draw(st.booleans()):
+        argv.append("--json")
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    argv.append(command)
+    # the defaults of 64 starts and 100 trials are overridden first; a later
+    # token can only lower them, or fail to parse
+    argv += {"locus": ["--starts", "3"], "check-mix": ["--starts", "3"],
+             "genericity": ["--starts", "3", "--trials", "3"]}.get(command, [])
+    for flag in COMMAND_FLAGS[command][:REQUIRED[command]]:
+        argv += draw(flag_and_value([flag]))
+    # one time in four a flag of any subcommand
+    flags = COMMAND_FLAGS[command] if draw(st.integers(0, 3)) else sorted(
+        set(FLAG_TOKENS) - {"--tol-rank", "--tol-floor", "--seed"})
+    argv += sum(draw(st.lists(flag_and_value(flags), max_size=2)), [])
+    if draw(st.integers(0, 9)) == 0:  # a stray token
+        argv.append(draw(st.sampled_from(ARGV_TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+# a rank cut above every eigenvalue left range_containment an empty spectrum
+@example(["--tol-rank", "1e300", "check-mix", "--starts", "1", "--target", FIXTURE_PATHS[2],
+          "--component", FIXTURE_PATHS[2]])
+def test_any_argv_exits_0_or_2_without_a_traceback(argv):
+    from mixloci.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -464,6 +464,56 @@ def test_stall_rule_keeps_every_hit():
     assert verdict.status == "INFEASIBLE"
 
 
+def test_a_search_stops_at_once_where_sigma_cannot_move():
+    # sigma_2 of example2_target's pencil is 1/sqrt(2) at every point, on both sides
+    config = SearchConfig(starts=64, seed=0)
+    for side in ("A", "B"):
+        sample = sample_locus(pencil_of("example2_target.json", side), 1, config, TOL)
+        assert sample.search_stats["rounds"] == 1 and sample.search_stats["stalled"] == 64
+        assert sample.points == ()
+        assert sample.min_residual_seen == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    # and sigma_2 of a 3x3 rank-8 pencil is 1 at every point
+    rho = random_density(BipartiteShape(3, 3), 8, seed=[0, 0])
+    stats = sample_locus(pencil_from_ensemble(eigen_ensemble(rho, TOL), "A"), 1, config,
+                         TOL).search_stats
+    assert stats["rounds"] == 1 and stats["stalled"] == 64
+
+
+def step_without_stationarity_test(J, b, r):
+    """_gauss_newton_step as it was before its stall test also stopped starts
+    whose sigma_{k+1} no step can move: the reference it must equal wherever
+    that clause does not fire."""
+    Jr = loci._row_sum(J * r[:, None, :])
+    W, sigma, Vh = np.linalg.svd(J - Jr[:, :, None] * r.conj()[:, None, :], full_matrices=False)
+    kept = sigma > loci._RCOND * sigma[:, :1]
+    c = np.where(kept, loci._row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :]), 0.0)
+    stalled = loci._row_norm(c) ** 2 < loci._STALL_RTOL * loci._row_norm(b) ** 2
+    dr = -loci._row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
+    return dr, stalled
+
+
+def genericity_pencil(m, r, trial):
+    """Trial `trial` of `genericity --m m --n m --r r` at seed 0."""
+    rho = random_density(BipartiteShape(m, m), r, seed=[0, trial])
+    return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
+
+
+def test_stationarity_test_leaves_every_search_that_can_move_alone(monkeypatch):
+    cases = [(pencil_of("example4.json", side), k, 64) for side in ("A", "B") for k in (1, 2, 3)]
+    cases += [(pencil_of("example3.json"), 2, 64), (pencil_of("example2_target.json"), 2, 64),
+              (empty_locus_pencil(), 2, 16)]
+    cases += [(genericity_pencil(m, r, trial), 2, 16)
+              for m, r in ((4, 4), (3, 3)) for trial in (0, 1)]
+    for p, k, starts in cases:
+        config = SearchConfig(starts=starts, seed=3)
+        R0 = drawn_starts(p, config)
+        with monkeypatch.context() as patched:
+            patched.setattr(loci, "_gauss_newton_step", step_without_stationarity_test)
+            expected = _descend(p, k, R0, config, TOL)
+        for got, want in zip(_descend(p, k, R0, config, TOL), expected):
+            assert np.array_equal(got, want)
+
+
 def test_search_hits_every_start_and_polishes_its_points():
     # the CLI's defaults; a point found at the rank threshold itself can fail a
     # recheck on another factor of rho, so each must lie 10x inside it

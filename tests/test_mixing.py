@@ -16,7 +16,8 @@ from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceCo
                      pencil_from_ensemble, random_density, random_pure, schmidt_rank_cap)
 from mixloci import is_locus_empty, loci
 from mixloci.errors import InvalidK, ParameterOutOfRange
-from mixloci.loci import ProjectivePoint, SearchConfig, rank_at
+from mixloci.loci import Pencil, ProjectivePoint, SearchConfig, locus_zero, rank_at
+from mixloci.mixing import _locus_candidates
 from mixloci.numeric import numerical_rank
 
 from conftest import load_fixture
@@ -240,6 +241,37 @@ def test_certificate_reverifies_from_scratch():
     assert rank_at(fresh_component, cert.witness, TOL) > cert.k
     assert numerical_rank(hermitian_form(target, cert.witness, "A"), TOL) <= cert.k
     assert numerical_rank(hermitian_form(component, cert.witness, "A"), TOL) > cert.k
+
+
+def per_probe_candidates(pencil, config):
+    """The k = 0 candidates as they were built one probe at a time: the
+    reference the stacked canonical form must equal bit for bit."""
+    locus = locus_zero(pencil, TOL)
+    points = locus.points()
+    rng = np.random.default_rng(config.seed)
+    for _ in range(8):
+        coeff = rng.standard_normal(locus.basis.shape[1]) \
+            + 1j * rng.standard_normal(locus.basis.shape[1])
+        points.append(ProjectivePoint.of(locus.basis @ coeff))
+    return points
+
+
+def test_rank_zero_probes_equal_the_per_probe_ones():
+    rng = np.random.default_rng(5)
+    for ambient, kernel, scale in ((3, 2, 1.0), (5, 3, 1e-3), (6, 6, 1.0), (8, 4, 1e4)):
+        # ambient combinations of ambient - kernel blocks: a locus of dimension kernel - 1
+        base = rng.standard_normal((ambient - kernel, 3, 2)) \
+            + 1j * rng.standard_normal((ambient - kernel, 3, 2))
+        blocks = np.einsum("ij,jrc->irc", scale * rng.standard_normal((ambient, ambient - kernel)),
+                           base)
+        pencil = Pencil(np.ascontiguousarray(blocks))
+        config = SearchConfig(seed=int(rng.integers(1000)))
+        points, stats = _locus_candidates(pencil, 0, config, TOL)
+        assert stats == {"mode": "exact", "dimension": kernel - 1}
+        expected = per_probe_candidates(pencil, config)
+        assert len(points) == len(expected) == kernel + 8
+        for q, want in zip(points, expected):
+            assert np.array_equal(q.coords.view(np.int64), want.coords.view(np.int64))
 
 
 def test_schmidt_rank_cap_examples():

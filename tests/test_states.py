@@ -9,7 +9,7 @@ from mixloci import (BipartiteShape, NotHermitian, ShapeMismatch, ToleranceConfi
                      WeightSumInvalid, ZeroVector, density_from_ensemble,
                      density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
                      mix, partial_trace, random_density, random_pure, schmidt)
-from mixloci.errors import RankOutOfRange
+from mixloci.errors import ParameterOutOfRange, RankOutOfRange
 from mixloci.io import StateFileError, load_state
 
 from conftest import load_fixture
@@ -123,6 +123,17 @@ def test_mix_identity_and_orthogonal():
     p1 = density_from_ensemble(make_ensemble(S22, [(1.0, make_pure([0, 1, 0, 0], S22))]))
     mixed = mix([0.5, 0.5], [p0, p1])
     np.testing.assert_allclose(np.sort(mixed.eigenvalues())[::-1][:2], [0.5, 0.5], atol=1e-12)
+
+
+def test_a_rank_cut_above_every_eigenvalue_is_refused():
+    rho = random_density(S33, 3, seed=2)
+    for tol in (ToleranceConfig(rank_rel_tol=0.5), ToleranceConfig(abs_floor=1.0)):
+        with pytest.raises(ParameterOutOfRange, match="rank cut"):
+            eigen_ensemble(rho, tol)
+    # a cut just below the top eigenvalue keeps it
+    lam = rho.eigenvalues()[0]
+    assert len(eigen_ensemble(rho, ToleranceConfig(rank_rel_tol=0.99 / 9)).members) >= 1
+    assert len(eigen_ensemble(rho, ToleranceConfig(abs_floor=0.99 * lam)).members) >= 1
 
 
 def test_mix_reproduces_example1():
