@@ -22,6 +22,7 @@ from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
                      check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
                      monte_carlo_genericity)
 from .numeric import ToleranceConfig
+from .states import support
 
 __all__ = ["main", "build_parser"]
 
@@ -100,6 +101,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _cmd_locus(args, tol: ToleranceConfig) -> int:
     state = load_state(args.state, tol)
+    support(state.density, tol)  # refuse a rank cut above every eigenvalue, as bounds does
     pencil = pencil_from_ensemble(state.ensemble, args.side)
     inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
     if args.k == 0:

@@ -76,6 +76,7 @@ def _running_sum(terms) -> np.ndarray:
     total = next(terms)
     for t in terms:
         total += t
+        del t  # free each term before the next one is made
     return total
 
 
@@ -94,13 +95,11 @@ class Pencil:
         return self.blocks.shape[1], self.blocks.shape[2]
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols).
-
-        Summed strictly in coordinate order, not by BLAS, so a row's value does
-        not depend on how many rows share the call.
-        """
-        terms = np.asarray(coords)[..., :, None, None] * self.blocks
-        return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
+        """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols),
+        blocks[i] being one block or one per row, (S, rows, cols).  A running sum
+        in coordinate order, not BLAS, so no row depends on the others."""
+        return _running_sum(np.asarray(coords)[..., i, None, None] * self.blocks[i]
+                            for i in range(self.ambient_dim))
 
     def max_rank_bound(self) -> int:
         return min(self.block_shape)
@@ -217,21 +216,21 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_sum(parts * parts))
 
 
-def _pencil_svd(p: Pencil, R: np.ndarray):
-    """Full SVD M(r) = U S V^dagger per row r of R: a thin V lacks the
-    directions M kills when cols > rows."""
-    return np.linalg.svd(p.evaluate(R), full_matrices=True)
+def _pencil_svd(stack: np.ndarray, search: np.ndarray, R: np.ndarray):
+    """Full SVD M = U S V^dagger per row j of R, M of blocks stack[search[j]] read
+    for this call: a thin V lacks the directions M kills when cols > rows."""
+    return np.linalg.svd(Pencil(stack[search].swapaxes(0, 1)).evaluate(R), full_matrices=True)
 
 
-def _normal_map(p: Pencil, U: np.ndarray, Vh: np.ndarray, k: int) -> np.ndarray:
-    """Per row of _pencil_svd's U and Vh: the normal map J, column i
-    vec(U0^dagger A_i V0) with U0 = U[:, k:] and V0 = V[:, k:]; M is linear,
-    so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.  Both products are
-    running sums over the contracted index, so no term outlives its addition."""
-    rows, cols = p.blocks.shape[-2:]
+def _normal_map(stack: np.ndarray, search: np.ndarray, U: np.ndarray, Vh: np.ndarray, k: int):
+    """Per row of _pencil_svd's U and Vh: the normal map J, column i vec(U0^dagger
+    A_i V0), A_i = stack[search[row], i], U0 = U[:, k:], V0 = V[:, k:]; M is linear,
+    so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.  Both products are running
+    sums over the contracted index, reading the blocks one index at a time."""
+    rows, cols = stack.shape[-2:]
     U0h = U[..., k:].conj().swapaxes(-1, -2)  # (S, rows-k, rows)
     V0t = Vh[..., k:, :].conj()  # (S, cols-k, cols): V0 transposed
-    left = _running_sum(U0h[:, None, :, None, j] * p.blocks[..., None, j, :]
+    left = _running_sum(U0h[:, None, :, None, j] * np.take(stack[:, :, None, j], search, axis=0)
                         for j in range(rows))  # (S, d, rows-k, cols)
     J = _running_sum(left[..., None, l] * V0t[:, None, None, :, l]
                      for l in range(cols))  # (S, d, rows-k, cols-k)
@@ -239,13 +238,19 @@ def _normal_map(p: Pencil, U: np.ndarray, Vh: np.ndarray, k: int) -> np.ndarray:
 
 
 def _row_bytes(block_shape: tuple, k: int) -> int:
-    """Bytes _descend holds per row, at its peak, on a batch with one pencil
-    per row of blocks (ambient, rows, cols): five arrays the size of the
-    row's blocks (the caller's, the live rows', the step's, and the pencil
-    evaluation's terms and partial sums) and three the size of the normal
-    map's first running sum, of 16-byte entries."""
+    """Bytes _descend holds per row at its peak (numpy's fixed buffers aside), in
+    16-byte entries, for blocks (d, rows, cols), m = rows - k, n = cols - k and
+    q = min(m n, d): what a row keeps (its share of the stack, at most its
+    blocks; U, Vh, b, five d-vectors, its singular values, 8 entries of
+    bookkeeping) and the most one stage adds: the evaluation or its SVD, the
+    normal map or the step (README)."""
     d, rows, cols = block_shape
-    return 16 * (5 * d * rows * cols + 3 * d * (rows - k) * cols)
+    m, n, q = rows - k, cols - k, min((rows - k) * (cols - k), d)
+    held = d * rows * cols + rows**2 + cols**2 + m * n + 5 * d + min(rows, cols) + 8
+    evaluation = max(d * rows * cols + 2 * rows * cols, rows * cols + rows**2 + cols**2)
+    normal_map = m * rows + n * cols + d * m * cols + max(d * m * cols + d * cols, 2 * d * m * n)
+    step = 3 * d * m * n + max(d * m * n + d, 3 * m * n * q + q * d + q)
+    return 16 * (held + max(evaluation, normal_map, step))
 
 
 def _searches_per_batch(block_shape: tuple, k: int, starts: int) -> int:
@@ -281,8 +286,8 @@ def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
     return dr, stalled
 
 
-def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
-             tol: ToleranceConfig, trial: np.ndarray | None = None):
+def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
+             config: SearchConfig, tol: ToleranceConfig):
     """Riemannian Gauss-Newton on the rank-k locus, all starts (rows of R0)
     in lockstep.  A round moves each live start by the step dr of its normal
     map, b = vec(diag(s[k:])), to (r + dr) / |r + dr|.  A start stops when
@@ -294,9 +299,8 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     Sums run in index order and SVDs are stacked (one LAPACK call per
     matrix), so no path depends on the batch.
 
-    p.blocks is one (ambient, rows, cols) stack for every row, or one stack
-    per row, (S, ambient, rows, cols).  trial numbers each row's search, from
-    0 with the rows of a search contiguous; by default the rows are one search.
+    stack holds each search's blocks once, (searches, ambient, rows, cols); row
+    j's pencil is stack[search[j]], read each round; a search's rows are contiguous.
 
     Returns arrays (r, f, reason, rounds) over the rows: each start's point
     of least f, that f, why it stopped ("hit" exactly when f is within the
@@ -305,11 +309,10 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     hits (else at its last start): once every start before that one has
     stopped, the starts after it are dropped, with reason "" and 0 rounds.
     """
-    rows, cols = p.blocks.shape[-2:]
+    rows, cols = stack.shape[-2:]
     diag = np.arange(min(rows, cols) - k)
     R0 = np.ascontiguousarray(R0, dtype=complex)
     S = len(R0)
-    trial = np.zeros(S, dtype=int) if trial is None else np.asarray(trial)
     r = R0 / _row_norm(R0)[:, None]
     r_best = np.empty_like(r)
     f_best, smax_best = np.full(S, np.inf), np.zeros(S)
@@ -319,7 +322,7 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
     n = 0  # rounds run
     while ids.size:
         n += 1
-        U, s, Vh = _pencil_svd(p, r)
+        U, s, Vh = _pencil_svd(stack, search[ids], r)
         f, smax = s[:, k], s[:, 0]
         better = f < f_best[ids]
         i = ids[better]
@@ -330,12 +333,11 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
         if stepping:
             # a step only for the starts that may go on, subset when some stop
             at = slice(None) if stepping == ids.size else np.flatnonzero(going)
-            q = Pencil(p.blocks[at]) if p.blocks.ndim == 4 and stepping < ids.size else p
             U, Vh = U[at], Vh[at]
             b = np.zeros((stepping, rows - k, cols - k), dtype=complex)
             b[:, diag, diag] = s[at, k:]
-            dr, stalled = _gauss_newton_step(_normal_map(q, U, Vh, k),
-                                             b.reshape(stepping, -1), r[at])
+            dr, stalled = _gauss_newton_step(
+                _normal_map(stack, search[ids[at]], U, Vh, k), b.reshape(stepping, -1), r[at])
             going[at] = ~stalled
         if not going.all():
             i = ids[~going]
@@ -345,19 +347,17 @@ def _descend(p: Pencil, k: int, R0: np.ndarray, config: SearchConfig,
             if config.stop_at_first:
                 # a search ends when its first start that hit or still runs is a hit
                 open_ = np.flatnonzero((reason == "hit") | (reason == ""))
-                first = open_[np.diff(trial[open_], prepend=-1) != 0]
+                first = open_[np.diff(search[open_], prepend=-1) != 0]
                 first = first[reason[first] == "hit"]
-                end = np.full(trial[-1] + 1, S)
-                end[trial[first]] = first
-                dropped = np.arange(S) > end[trial]
+                end = np.full(len(stack), S)
+                end[search[first]] = first
+                dropped = np.arange(S) > end[search]
                 reason[dropped], rounds[dropped] = "", 0
                 going &= ~dropped[ids]
             if not stepping:
                 break
             keep = going[at]  # of the rows that stepped
             ids, r, dr = ids[going], r[going], dr[keep]
-            if p.blocks.ndim == 4:
-                p = Pencil(q.blocks[keep])
         r = r + dr
         r /= _row_norm(r)[:, None]
     return r_best, f_best, reason, rounds
@@ -422,11 +422,10 @@ def _sample(r, f, reason, rounds, starts: int) -> LocusSample:
 
 
 def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSample]:
-    """sample_locus(pencils[i], k, configs[i], tol) for each i.  The configs
+    """sample_locus(pencils[i], k, configs[i], tol) for each i; the configs
     differ in seed at most.  The searches of one block shape run as one
-    _descend batch, each pencil's blocks on its starts' rows, so the caller
-    keeps their number within _searches_per_batch.  No row depends on the
-    batch, so each sample is the one its search gives alone."""
+    _descend batch, whose size the caller keeps within _searches_per_batch; no
+    row depends on the batch, so each sample is the one its search gives alone."""
     if k < 0:
         raise InvalidK("rank bound k must be nonnegative")
     samples = [None] * len(pencils)
@@ -441,11 +440,9 @@ def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSa
     for batch in shapes.values():
         starts = configs[batch[0]].starts
         R0 = np.concatenate([_draw_starts(configs[i], pencils[i].ambient_dim) for i in batch])
-        p = pencils[batch[0]]
-        if len(batch) > 1:
-            p = Pencil(np.repeat(np.stack([pencils[i].blocks for i in batch]), starts, axis=0))
-        trial = np.repeat(np.arange(len(batch)), starts)
-        r, f, reason, rounds = _descend(p, k, R0, configs[batch[0]], tol, trial)
+        stack = np.stack([pencils[i].blocks for i in batch])
+        search = np.repeat(np.arange(len(batch)), starts)
+        r, f, reason, rounds = _descend(stack, search, k, R0, configs[batch[0]], tol)
         for j, i in enumerate(batch):
             rows = slice(j * starts, (j + 1) * starts)
             samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
@@ -469,10 +466,11 @@ def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
     vanishes to second order, so the estimate is the bound ambient - 1."""
     if not in_locus(p, k, point, tol):
         raise NotOnLocus("point is not on the requested locus")
-    U, s, Vh = _pencil_svd(p, point.coords[None])
+    U, s, Vh = _pencil_svd(p.blocks[None], [0], point.coords[None])
     if tol.rank(s[0], *p.block_shape) < k:
         return p.ambient_dim - 1
-    return p.ambient_dim - 1 - numerical_rank(_normal_map(p, U, Vh, k)[0], tol)
+    J = _normal_map(p.blocks[None], [0], U, Vh, k)[0]
+    return p.ambient_dim - 1 - numerical_rank(J, tol)
 
 
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),

@@ -386,11 +386,14 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("--tol-rank", "0.5", "bounds", "--state", fixture("example4.json")),
     ("--tol-rank", "0.5", "genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "1",
      "--trials", "1"),
+    ("--tol-rank", "0.5", "locus", "--state", fixture("example1.json"), "--k", "0"),
+    ("--tol-rank", "0.5", "locus", "--state", fixture("example1.json"), "--k", "1"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
         "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
         "check_mix_cut_above_spectrum", "bounds_cut_above_spectrum",
-        "genericity_cut_above_spectrum"])
+        "genericity_cut_above_spectrum", "locus_k0_cut_above_spectrum",
+        "locus_k1_cut_above_spectrum"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -258,19 +259,24 @@ def drawn_starts(p, config):
     return draws[:, 0] + 1j * draws[:, 1]
 
 
+def descend(p, k, R0, config):
+    """The search kernel on one search of pencil p, each row of R0 a start."""
+    return _descend(p.blocks[None], np.zeros(len(R0), dtype=int), k, R0, config, TOL)
+
+
 @pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty"])
 def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     p = {"generic": generic_pencil, "empty": empty_locus_pencil}.get(name, lambda: pencil_of(name))()
     config = SearchConfig(starts=24, seed=3)
     R0 = drawn_starts(p, config)
-    r, f, reason, rounds = _descend(p, 2, R0, config, TOL)
+    r, f, reason, rounds = descend(p, 2, R0, config)
     hit = reason == "hit"
     if name == "empty":
         assert not hit.any() and "stalled" in reason
     else:
         assert hit.any()
     for i in range(24):
-        r_i, f_i, reason_i, rounds_i = _descend(p, 2, R0[i:i + 1], config, TOL)
+        r_i, f_i, reason_i, rounds_i = descend(p, 2, R0[i:i + 1], config)
         assert np.array_equal(r_i[0], r[i]) and f_i[0] == f[i]
         assert (reason_i[0], rounds_i[0]) == (reason[i], rounds[i])
 
@@ -278,7 +284,7 @@ def test_search_kernel_has_no_width_dependence(name, monkeypatch):
     # the starts after it are dropped
     first = int(np.argmax(hit)) if hit.any() else 23
     config = replace(config, stop_at_first=True)
-    r_s, f_s, reason_s, rounds_s = _descend(p, 2, R0, config, TOL)
+    r_s, f_s, reason_s, rounds_s = descend(p, 2, R0, config)
     ran = reason_s != ""
     assert np.array_equal(ran, np.arange(24) <= first) and not rounds_s[~ran].any()
     assert np.array_equal(r_s[ran], r[:first + 1]) and np.array_equal(f_s[ran], f[:first + 1])
@@ -319,7 +325,7 @@ def test_no_start_takes_a_step_in_the_round_it_stops(name, max_iter, monkeypatch
 
     monkeypatch.setattr(loci, "_gauss_newton_step", counted)
     config = SearchConfig(starts=24, seed=3)
-    _, _, reason, rounds = _descend(p, 2, drawn_starts(p, config), config, TOL)
+    _, _, reason, rounds = descend(p, 2, drawn_starts(p, config), config)
     # a start steps in every round it runs but its last, and in its last only
     # when the step itself stalls: a start stopped by polishing or by
     # _MAX_ITER takes no step in that round
@@ -413,7 +419,7 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
                for i, r in enumerate((3, 4, 3, 2, 4, 3))]
     pencils += [pencil_of("example4.json"), Pencil(np.zeros((3, 3, 3), dtype=complex))]
     rows = []
-    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[2])) or _descend(*args))
+    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[1])) or _descend(*args))
     for stop_at_first in (False, True):
         configs = [SearchConfig(starts=16, seed=i, stop_at_first=stop_at_first)
                    for i in range(len(pencils))]
@@ -431,14 +437,39 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
         assert any(len(s.points) > 1 for s in batched) != stop_at_first
 
 
+def kernel_peak(pencils, k, configs):
+    """Bytes _sample_loci(pencils, k, configs) holds at its peak, as tracemalloc
+    counts numpy's arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loci._sample_loci(pencils, k, configs, TOL)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m, r, t", [(6, 12, 3), (4, 4, 2), (3, 3, 2), (5, 9, 2)])
+def test_a_batch_of_searches_takes_the_memory_of_one_search(m, r, t):
+    # 32 genericity searches of 16 starts in one batch, each search's blocks
+    # held once: within the byte model, and about the peak of one search of
+    # as many starts on one pencil
+    pencils = [genericity_pencil(m, r, trial) for trial in range(32)]
+    batch = kernel_peak(pencils, t, [SearchConfig(starts=16, seed=trial) for trial in range(32)])
+    assert batch <= 512 * loci._row_bytes((m, m, r), t)
+    if (m, r, t) == (6, 12, 3):
+        assert batch <= 1.1 * kernel_peak(pencils[:1], t, [SearchConfig(starts=512, seed=0)])
+
+
 def test_stalled_starts_end_near_where_unstopped_ones_do(monkeypatch):
     # without the stall test every start of the empty locus runs _MAX_ITER rounds
     p = empty_locus_pencil()
     config = SearchConfig(starts=24, seed=3)
     R0 = drawn_starts(p, config)
-    _, f, reason, _ = _descend(p, 2, R0, config, TOL)
+    _, f, reason, _ = descend(p, 2, R0, config)
     monkeypatch.setattr(loci, "_STALL_RTOL", 0.0)
-    _, f_ref, reason_ref, _ = _descend(p, 2, R0, config, TOL)
+    _, f_ref, reason_ref, _ = descend(p, 2, R0, config)
     assert set(reason) == {"stalled"} and set(reason_ref) == {"max_iter"}
     assert np.all(f <= 1.01 * f_ref)
     assert f.min() == pytest.approx(f_ref.min(), rel=1e-4)
@@ -509,8 +540,8 @@ def test_stationarity_test_leaves_every_search_that_can_move_alone(monkeypatch):
         R0 = drawn_starts(p, config)
         with monkeypatch.context() as patched:
             patched.setattr(loci, "_gauss_newton_step", step_without_stationarity_test)
-            expected = _descend(p, k, R0, config, TOL)
-        for got, want in zip(_descend(p, k, R0, config, TOL), expected):
+            expected = descend(p, k, R0, config)
+        for got, want in zip(descend(p, k, R0, config), expected):
             assert np.array_equal(got, want)
 
 

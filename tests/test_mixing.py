@@ -357,8 +357,8 @@ def test_monte_carlo_genericity_zero_trials():
 
 @pytest.mark.parametrize("m, n, r, t, trials, starts, batches", [
     (4, 4, 4, 2, 10, 16, [160]), (3, 3, 3, 2, 10, 16, [160]), (3, 3, 4, 1, 10, 16, [160]),
-    (3, 3, 3, 2, 5, 1366, [5464, 1366]),  # 4 trials of 1366 rows of 2592 bytes fit 16 MiB
-    (4, 4, 4, 2, 5, 900, [1800, 1800, 900])])  # at 6656 bytes a row, 2 trials of 900 do
+    (3, 3, 3, 2, 8, 1366, [8196, 2732]),  # 6 trials of 1366 rows of 1872 bytes fit 16 MiB
+    (4, 4, 4, 2, 5, 900, [3600, 900])])  # at 3968 bytes a row, 4 trials of 900 do
 def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, starts, batches,
                                                        monkeypatch):
     config = SearchConfig(starts=starts, seed=5, stop_at_first=True)
@@ -369,7 +369,7 @@ def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, start
                                     replace(config, seed=5 + trial), TOL))
     rows = []
     descend = loci._descend
-    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[2])) or descend(*args))
+    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[1])) or descend(*args))
     report = monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=2), config, TOL)
     assert rows == batches
     assert report.nonempty_fraction == sum(v.status == "NONEMPTY_WITNESS" for v in alone) / trials
@@ -380,12 +380,13 @@ def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, start
 
 @pytest.mark.parametrize("m, n, r, t, trials", [(6, 6, 12, 3, 30), (4, 4, 4, 2, 200)])
 def test_genericity_batches_keep_within_the_byte_budget(m, n, r, t, trials, monkeypatch):
+    config = replace(CONFIG, starts=24)  # enough rows for more than one batch
     batches = []
     descend = loci._descend
     monkeypatch.setattr(loci, "_descend", lambda *args: batches.append(
-        (len(args[2]), args[0].blocks.shape[-3:])) or descend(*args))
-    monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=1), CONFIG, TOL)
-    assert len(batches) > 1 and sum(rows for rows, _ in batches) == trials * CONFIG.starts
+        (len(args[1]), args[0].shape[-3:])) or descend(*args))
+    monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=1), config, TOL)
+    assert len(batches) > 1 and sum(rows for rows, _ in batches) == trials * config.starts
     for rows, shape in batches:
         assert shape == (m, n, r)
         assert rows * loci._row_bytes(shape, t) <= loci._BATCH_BYTES

@@ -1,0 +1,93 @@
+"""Check that two mixloci source trees print the same --json reports.
+
+    python tools/same_output.py OLD_TREE NEW_TREE
+
+Runs each request below as `python -m mixloci.cli --json ...` with the tree's
+src/ on PYTHONPATH, once per tree and per OPENBLAS_NUM_THREADS value (1 and
+2), one subprocess at a time.  Prints every request whose stdout or exit code
+differs from the old tree's at one thread, and exits 1 if any does.  The
+state files come from this repository's fixtures/, the same for both trees.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+THREADS = ("1", "2")
+
+
+def _fixture(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+def requests() -> list[list[str]]:
+    """argv lists after `--json`: the searches on the fixtures, the mixture
+    checks on example2 both ways and seeded genericity trials, then
+    genericity requests whose trials take more than one kernel batch."""
+    reqs = []
+    for name in ("example4.json", "example2_target.json"):
+        for k in ("1", "2", "3"):
+            for starts in ("64", "100", "7"):
+                reqs.append(["locus", "--state", _fixture(name), "--k", k, "--starts", starts])
+    reqs.append(["locus", "--state", _fixture("example4.json"), "--k", "1", "--side", "B"])
+    for name in ("example1.json", "example2_target.json", "example3.json", "example4.json"):
+        reqs.append(["locus", "--state", _fixture(name), "--k", "0"])
+    pair = (_fixture("example2_target.json"), _fixture("example2_component.json"))
+    for target, component in (pair, pair[::-1]):
+        for k in ("all", "2", "1"):
+            reqs.append(["check-mix", "--target", target, "--component", component, "--k", k])
+    for m, r, t in (("4", "4", "2"), ("3", "3", "2"), ("3", "4", "1")):
+        for seed in range(8):
+            reqs.append(["--seed", str(seed), "genericity", "--m", m, "--n", m, "--r", r,
+                         "--t", t, "--trials", "10"])
+    for extra in (["--m", "4", "--n", "4", "--r", "4", "--t", "2"],
+                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "300"],
+                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "5",
+                   "--starts", "900"],
+                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2"],
+                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "5",
+                   "--starts", "1366"],
+                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "8",
+                   "--starts", "1366"],
+                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "1000"],
+                  ["--m", "5", "--n", "5", "--r", "9", "--t", "2", "--trials", "60"],
+                  ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "30"],
+                  ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "100"]):
+        reqs.append(["genericity", *extra])
+    return reqs
+
+
+def run(tree: Path, argv: list[str], threads: str) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-m", "mixloci.cli", "--json", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/same_output.py OLD_TREE NEW_TREE", file=sys.stderr)
+        return 2
+    old, new = (Path(tree).resolve() for tree in argv)
+    reqs = requests()
+    differing = 0
+    for i, req in enumerate(reqs, 1):
+        runs = {f"{side} tree, {threads} thread(s)": run(tree, req, threads)
+                for side, tree in (("old", old), ("new", new)) for threads in THREADS}
+        reference = runs[f"old tree, {THREADS[0]} thread(s)"]
+        odd = [label for label, result in runs.items() if result != reference]
+        if odd:
+            differing += 1
+            print(f"differs ({', '.join(odd)}): {' '.join(req)}", flush=True)
+        print(f"[{i}/{len(reqs)}] exit {reference[0]}", file=sys.stderr, flush=True)
+    print(f"{differing} of {len(reqs)} requests differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
