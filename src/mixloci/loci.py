@@ -69,9 +69,9 @@ def _canonical(V: np.ndarray) -> np.ndarray:
 
 
 def _running_sum(terms) -> np.ndarray:
-    """t_0 + t_1 + ... added left to right into t_0, a fresh array: the same
-    additions as np.add.accumulate, which no pairwise or blocked reduction
-    reorders, without holding the terms or partial sums at once."""
+    """t_0 + t_1 + ... added left to right into t_0, a fresh array: no pairwise
+    or blocked reduction reorders the additions, and no more than one term and
+    the sum are held at once."""
     terms = iter(terms)
     total = next(terms)
     for t in terms:
@@ -204,10 +204,9 @@ def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLoc
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis strictly left to right.  An accumulate has no
-    pairwise or blocked reduction, so a row's sum does not depend on how many
-    rows there are."""
-    return np.add.accumulate(x, axis=-1)[..., -1]
+    """Sum over the last axis strictly left to right, a running sum into a copy
+    of x[..., 0], so a row's sum does not depend on how many rows there are."""
+    return _running_sum(x[..., i] if i else x[..., 0].copy() for i in range(x.shape[-1]))
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
@@ -238,18 +237,19 @@ def _normal_map(stack: np.ndarray, search: np.ndarray, U: np.ndarray, Vh: np.nda
 
 
 def _row_bytes(block_shape: tuple, k: int) -> int:
-    """Bytes _descend holds per row at its peak (numpy's fixed buffers aside), in
-    16-byte entries, for blocks (d, rows, cols), m = rows - k, n = cols - k and
+    """A bound on the bytes _descend holds per row at its peak, in 16-byte
+    entries, for blocks (d, rows, cols), m = rows - k, n = cols - k and
     q = min(m n, d): what a row keeps (its share of the stack, at most its
     blocks; U, Vh, b, five d-vectors, its singular values, 8 entries of
     bookkeeping) and the most one stage adds: the evaluation or its SVD, the
-    normal map or the step (README)."""
+    normal map or the step (README).  numpy's fixed per-call buffers, up to
+    128 KiB whatever the rows, come on top."""
     d, rows, cols = block_shape
     m, n, q = rows - k, cols - k, min((rows - k) * (cols - k), d)
     held = d * rows * cols + rows**2 + cols**2 + m * n + 5 * d + min(rows, cols) + 8
     evaluation = max(d * rows * cols + 2 * rows * cols, rows * cols + rows**2 + cols**2)
     normal_map = m * rows + n * cols + d * m * cols + max(d * m * cols + d * cols, 2 * d * m * n)
-    step = 3 * d * m * n + max(d * m * n + d, 3 * m * n * q + q * d + q)
+    step = 2 * d * m * n + m * n + max(d * m * n + d, 3 * m * n * q + q * d + q)
     return 16 * (held + max(evaluation, normal_map, step))
 
 
@@ -363,9 +363,9 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
     return r_best, f_best, reason, rounds
 
 
-def _draw_starts(config: SearchConfig, ambient: int) -> np.ndarray:
+def _draw_starts(seed: int, starts: int, ambient: int) -> np.ndarray:
     # per start: d real parts, then d imaginary parts, drawn start after start
-    draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, ambient))
+    draws = np.random.default_rng(seed).standard_normal((starts, 2, ambient))
     return draws[:, 0] + 1j * draws[:, 1]
 
 
@@ -421,11 +421,12 @@ def _sample(r, f, reason, rounds, starts: int) -> LocusSample:
                        min_residual_seen=f[reason != ""].min())
 
 
-def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSample]:
-    """sample_locus(pencils[i], k, configs[i], tol) for each i; the configs
-    differ in seed at most.  The searches of one block shape run as one
-    _descend batch, whose size the caller keeps within _searches_per_batch; no
-    row depends on the batch, so each sample is the one its search gives alone."""
+def _sample_loci(pencils, k: int, config: SearchConfig,
+                 tol: ToleranceConfig) -> list[LocusSample]:
+    """sample_locus(pencils[i], k, config at seed config.seed + i, tol) for each
+    i.  The searches of one block shape run in _descend batches of
+    _searches_per_batch searches; no row depends on the batch, so each sample
+    is the one its search gives alone."""
     if k < 0:
         raise InvalidK("rank bound k must be nonnegative")
     samples = [None] * len(pencils)
@@ -437,15 +438,18 @@ def _sample_loci(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusSa
             samples[i] = LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
         else:
             shapes.setdefault(p.blocks.shape, []).append(i)
-    for batch in shapes.values():
-        starts = configs[batch[0]].starts
-        R0 = np.concatenate([_draw_starts(configs[i], pencils[i].ambient_dim) for i in batch])
-        stack = np.stack([pencils[i].blocks for i in batch])
-        search = np.repeat(np.arange(len(batch)), starts)
-        r, f, reason, rounds = _descend(stack, search, k, R0, configs[batch[0]], tol)
-        for j, i in enumerate(batch):
-            rows = slice(j * starts, (j + 1) * starts)
-            samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
+    starts = config.starts
+    for shape, group in shapes.items():
+        per_batch = _searches_per_batch(shape, k, starts)
+        for lo in range(0, len(group), per_batch):
+            batch = group[lo:lo + per_batch]
+            R0 = np.concatenate([_draw_starts(config.seed + i, starts, shape[0]) for i in batch])
+            stack = np.stack([pencils[i].blocks for i in batch])
+            search = np.repeat(np.arange(len(batch)), starts)
+            r, f, reason, rounds = _descend(stack, search, k, R0, config, tol)
+            for j, i in enumerate(batch):
+                rows = slice(j * starts, (j + 1) * starts)
+                samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
     return samples
 
 
@@ -455,7 +459,7 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
 
     An empty point list is a failure to find, not a proof of emptiness.
     """
-    return _sample_loci([p], k, [config], tol)[0]
+    return _sample_loci([p], k, config, tol)[0]
 
 
 def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
@@ -476,18 +480,19 @@ def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
                    tol: ToleranceConfig = ToleranceConfig()) -> LocusVerdict:
     """Exact emptiness for k = 0; sampled one-sided evidence for k >= 1."""
-    return _loci_empty([p], k, [config], tol)[0]
+    return _loci_empty([p], k, config, tol)[0]
 
 
-def _loci_empty(pencils, k: int, configs, tol: ToleranceConfig) -> list[LocusVerdict]:
-    """is_locus_empty(pencils[i], k, configs[i], tol) for each i, the searches
-    run as _sample_loci runs them."""
+def _loci_empty(pencils, k: int, config: SearchConfig,
+                tol: ToleranceConfig) -> list[LocusVerdict]:
+    """is_locus_empty(pencils[i], k, config at seed config.seed + i, tol) for
+    each i, the searches run as _sample_loci runs them."""
     if k == 0:
         loci = [locus_zero(p, tol) for p in pencils]
         return [LocusVerdict("EMPTY_EXACT") if locus.is_empty
                 else LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0]) for locus in loci]
     return [_sampled_verdict(p, sample)
-            for p, sample in zip(pencils, _sample_loci(pencils, k, configs, tol))]
+            for p, sample in zip(pencils, _sample_loci(pencils, k, config, tol))]
 
 
 def _sampled_verdict(p: Pencil, sample: LocusSample) -> LocusVerdict:

@@ -7,14 +7,14 @@ and the genericity (measure-zero) predicate with its Monte-Carlo verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
-from .loci import (Pencil, ProjectivePoint, SearchConfig, _canonical, _loci_empty,
-                   _searches_per_batch, locus_zero, pencil_from_ensemble, sample_locus)
+from .loci import (Pencil, ProjectivePoint, SearchConfig, _canonical, _loci_empty, locus_zero,
+                   pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
                      eigen_ensemble, partial_trace, random_density, rank_cut, schmidt_rank,
@@ -351,15 +351,9 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     predicate = generic_empty_predicate(q)
     codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
-    verdicts = []
-    # the trials share _descend batches within the kernel's byte budget
-    per_batch = _searches_per_batch((q.m, q.n, q.r), q.t, config.starts)
-    for lo in range(0, q.trials, per_batch):
-        trials = range(lo, min(lo + per_batch, q.trials))
-        pencils = [pencil_from_ensemble(eigen_ensemble(
-            random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in trials]
-        configs = [replace(config, seed=config.seed + trial) for trial in trials]
-        verdicts += _loci_empty(pencils, q.t, configs, tol)
+    pencils = [pencil_from_ensemble(eigen_ensemble(
+        random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in range(q.trials)]
+    verdicts = _loci_empty(pencils, q.t, config, tol)  # trial i searches from seed config.seed + i
     nonempty = sum(v.status == "NONEMPTY_WITNESS" for v in verdicts)
     residuals = [v.min_residual for v in verdicts if v.min_residual is not None]
     witnesses = [v.witness for v in verdicts]

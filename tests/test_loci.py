@@ -421,13 +421,12 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
     rows = []
     monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[1])) or _descend(*args))
     for stop_at_first in (False, True):
-        configs = [SearchConfig(starts=16, seed=i, stop_at_first=stop_at_first)
-                   for i in range(len(pencils))]
+        config = SearchConfig(starts=16, seed=0, stop_at_first=stop_at_first)
         rows.clear()
-        batched = loci._sample_loci(pencils, 2, configs, TOL)
+        batched = loci._sample_loci(pencils, 2, config, TOL)
         assert rows == [48, 32, 16]  # one batch per block shape: rank 3, rank 4, example4
-        for p, config, sample in zip(pencils, configs, batched):
-            alone = sample_locus(p, 2, config, TOL)
+        for i, (p, sample) in enumerate(zip(pencils, batched)):
+            alone = sample_locus(p, 2, replace(config, seed=i), TOL)
             assert [q.coords.tolist() for q in sample.points] == \
                 [q.coords.tolist() for q in alone.points]
             assert sample.residuals == alone.residuals and sample.trivial == alone.trivial
@@ -437,29 +436,51 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
         assert any(len(s.points) > 1 for s in batched) != stop_at_first
 
 
-def kernel_peak(pencils, k, configs):
-    """Bytes _sample_loci(pencils, k, configs) holds at its peak, as tracemalloc
+def kernel_peak(pencils, k, config):
+    """Bytes _sample_loci(pencils, k, config) holds at its peak, as tracemalloc
     counts numpy's arrays."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loci._sample_loci(pencils, k, configs, TOL)
+        loci._sample_loci(pencils, k, config, TOL)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("m, r, t", [(6, 12, 3), (4, 4, 2), (3, 3, 2), (5, 9, 2)])
+@pytest.mark.parametrize("m, r, t", [(6, 12, 3), (4, 4, 2), (3, 3, 2), (5, 9, 2), (3, 2, 1)])
 def test_a_batch_of_searches_takes_the_memory_of_one_search(m, r, t):
     # 32 genericity searches of 16 starts in one batch, each search's blocks
     # held once: within the byte model, and about the peak of one search of
     # as many starts on one pencil
+    row_bytes = loci._row_bytes((m, m, r), t)
     pencils = [genericity_pencil(m, r, trial) for trial in range(32)]
-    batch = kernel_peak(pencils, t, [SearchConfig(starts=16, seed=trial) for trial in range(32)])
-    assert batch <= 512 * loci._row_bytes((m, m, r), t)
+    batch = kernel_peak(pencils, t, SearchConfig(starts=16))
+    if (m, r, t) == (3, 2, 1):
+        # rows so small that numpy's fixed buffers outweigh 512 of them: the
+        # model bounds the cost of each row added, from 512 to 2048 rows
+        pencils += [genericity_pencil(m, r, trial) for trial in range(32, 128)]
+        assert kernel_peak(pencils, t, SearchConfig(starts=16)) - batch <= 1536 * row_bytes
+    else:
+        assert batch <= 512 * row_bytes
     if (m, r, t) == (6, 12, 3):
-        assert batch <= 1.1 * kernel_peak(pencils[:1], t, [SearchConfig(starts=512, seed=0)])
+        assert batch <= 1.1 * kernel_peak(pencils[:1], t, SearchConfig(starts=512))
+
+
+def test_row_sum_adds_left_to_right_as_an_accumulate_does():
+    # the accumulate's last entry is the reference: the same additions in the
+    # same order, bit for bit, and x is left as it was
+    rng = np.random.default_rng(7)
+    for length in range(1, 61):
+        scale = 10.0 ** rng.integers(-8, 9, size=(3, 5, length))
+        real = rng.standard_normal((3, 5, length)) * scale
+        for x in (real, real + 1j * rng.standard_normal((3, 5, length)) * scale):
+            before = x.copy()
+            total = loci._row_sum(x)
+            assert total.dtype == x.dtype
+            assert np.array_equal(total, np.add.accumulate(x, axis=-1)[..., -1])
+            assert np.array_equal(x, before)
 
 
 def test_stalled_starts_end_near_where_unstopped_ones_do(monkeypatch):

@@ -358,7 +358,7 @@ def test_monte_carlo_genericity_zero_trials():
 @pytest.mark.parametrize("m, n, r, t, trials, starts, batches", [
     (4, 4, 4, 2, 10, 16, [160]), (3, 3, 3, 2, 10, 16, [160]), (3, 3, 4, 1, 10, 16, [160]),
     (3, 3, 3, 2, 8, 1366, [8196, 2732]),  # 6 trials of 1366 rows of 1872 bytes fit 16 MiB
-    (4, 4, 4, 2, 5, 900, [3600, 900])])  # at 3968 bytes a row, 4 trials of 900 do
+    (4, 4, 4, 2, 5, 900, [3600, 900])])  # at 3776 bytes a row, 4 trials of 900 do
 def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, starts, batches,
                                                        monkeypatch):
     config = SearchConfig(starts=starts, seed=5, stop_at_first=True)
@@ -378,15 +378,20 @@ def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, start
         assert (w is None and v.witness is None) or np.array_equal(w.coords, v.witness.coords)
 
 
-@pytest.mark.parametrize("m, n, r, t, trials", [(6, 6, 12, 3, 30), (4, 4, 4, 2, 200)])
-def test_genericity_batches_keep_within_the_byte_budget(m, n, r, t, trials, monkeypatch):
+@pytest.mark.parametrize("m, n, r, t, trials, tol, shapes", [
+    (6, 6, 12, 3, 30, TOL, {(6, 6, 12)}), (4, 4, 4, 2, 200, TOL, {(4, 4, 4)}),
+    # a coarser rank cut leaves some trials' pencils with blocks of rank 3
+    (4, 4, 4, 2, 200, ToleranceConfig(rank_rel_tol=1e-3), {(4, 4, 4), (4, 4, 3)})],
+    ids=["6-6-12-3-30", "4-4-4-2-200", "4-4-4-2-200-coarse-cut"])
+def test_genericity_batches_keep_within_the_byte_budget(m, n, r, t, trials, tol, shapes,
+                                                        monkeypatch):
     config = replace(CONFIG, starts=24)  # enough rows for more than one batch
     batches = []
     descend = loci._descend
     monkeypatch.setattr(loci, "_descend", lambda *args: batches.append(
         (len(args[1]), args[0].shape[-3:])) or descend(*args))
-    monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=1), config, TOL)
+    monte_carlo_genericity(GenericityQuery(m, n, r, t, trials, seed=1), config, tol)
     assert len(batches) > 1 and sum(rows for rows, _ in batches) == trials * config.starts
-    for rows, shape in batches:
-        assert shape == (m, n, r)
+    assert {shape for _, shape in batches} == shapes
+    for rows, shape in batches:  # one block shape a batch, within the budget for it
         assert rows * loci._row_bytes(shape, t) <= loci._BATCH_BYTES
