@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidK, MixLociError
+from .errors import InvalidK, MixLociError, ParameterOutOfRange
 from .io import StateFileError, complex_to_pairs, file_sha256, load_state
 from .loci import SearchConfig, locus_zero, pencil_from_ensemble, sample_locus
 from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
@@ -104,6 +104,7 @@ def _cmd_locus(args, tol: ToleranceConfig) -> int:
     support(state.density, tol)  # refuse a rank cut above every eigenvalue, as bounds does
     pencil = pencil_from_ensemble(state.ensemble, args.side)
     inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
+    config = SearchConfig(starts=args.starts, seed=args.seed)  # checked for k = 0 too
     if args.k == 0:
         locus = locus_zero(pencil, tol)
         points = locus.points()
@@ -118,7 +119,6 @@ def _cmd_locus(args, tol: ToleranceConfig) -> int:
                  + ("" if locus.is_empty else
                     f", points {[np.round(pt.coords, 6).tolist() for pt in points]}"))
         return _emit(args, _report(args, "locus", inputs, verdict, data), human)
-    config = SearchConfig(starts=args.starts, seed=args.seed)
     sample = sample_locus(pencil, args.k, config, tol)
     verdict = "TRIVIAL" if sample.trivial else ("FOUND" if sample.points else "NONE_FOUND")
     data = {
@@ -263,6 +263,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:  # for every command, those that draw nothing too
+            raise ParameterOutOfRange(f"seed must be >= 0, got {args.seed}")
         tol = ToleranceConfig(rank_rel_tol=args.tol_rank, abs_floor=args.tol_floor)
         return _HANDLERS[args.command](args, tol)
     except (StateFileError, MixLociError, OSError) as exc:

@@ -210,7 +210,7 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a C-contiguous complex array."""
+    """Euclidean norm of each row of a real or a C-contiguous complex array."""
     parts = x.view(np.float64)
     return np.sqrt(_row_sum(parts * parts))
 
@@ -240,16 +240,16 @@ def _row_bytes(block_shape: tuple, k: int) -> int:
     """A bound on the bytes _descend holds per row at its peak, in 16-byte
     entries, for blocks (d, rows, cols), m = rows - k, n = cols - k and
     q = min(m n, d): what a row keeps (its share of the stack, at most its
-    blocks; U, Vh, b, five d-vectors, its singular values, 8 entries of
+    blocks; U, Vh, five d-vectors, its singular values, 8 entries of
     bookkeeping) and the most one stage adds: the evaluation or its SVD, the
     normal map or the step (README).  numpy's fixed per-call buffers, up to
     128 KiB whatever the rows, come on top."""
     d, rows, cols = block_shape
     m, n, q = rows - k, cols - k, min((rows - k) * (cols - k), d)
-    held = d * rows * cols + rows**2 + cols**2 + m * n + 5 * d + min(rows, cols) + 8
+    held = d * rows * cols + rows**2 + cols**2 + 5 * d + min(rows, cols) + 8
     evaluation = max(d * rows * cols + 2 * rows * cols, rows * cols + rows**2 + cols**2)
     normal_map = m * rows + n * cols + d * m * cols + max(d * m * cols + d * cols, 2 * d * m * n)
-    step = 2 * d * m * n + m * n + max(d * m * n + d, 3 * m * n * q + q * d + q)
+    step = 2 * d * m * n + m * n + max(d * m * n + d, m * n * q + 3 * q * d + q)
     return 16 * (held + max(evaluation, normal_map, step))
 
 
@@ -259,11 +259,12 @@ def _searches_per_batch(block_shape: tuple, k: int, starts: int) -> int:
     return max(1, _BATCH_BYTES // (_row_bytes(block_shape, k) * starts))
 
 
-def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
+def _gauss_newton_step(J: np.ndarray, tail: np.ndarray, j: np.ndarray,
                        r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, dr = -pinv(J (I - r r^dagger)) b by one stacked SVD: the least
-    ||b + J dr|| of least norm, orthogonal to r (the projected J kills r), and
-    whether the start stalled.  It has stalled when
+    """Per row, dr = -pinv(J (I - r r^dagger)) b by one stacked SVD, b zero but
+    for the tail singular values at its flat positions j: the least ||b + J dr||
+    of least norm, orthogonal to r (the projected J kills r), and whether the
+    start stalled.  It has stalled when
     - the step's model removes too little: it removes ||c||^2 from ||b||^2,
       c = W^dagger b being the part of b the map reaches, and a stall is
       ||c||^2 < _STALL_RTOL ||b||^2 (a product, not a ratio: b = 0 at exact
@@ -274,13 +275,16 @@ def _gauss_newton_step(J: np.ndarray, b: np.ndarray,
       the map's largest singular value.  Where sigma_{k+1} = sigma_{k+2}
       (sigma_{k+1} < sigma_k), sigma_{k+1}'s first-order shift is the top
       eigenvalue of a Hermitian matrix with that (0, 0) entry, at least 0,
-      so no step lowers it there either: a stationary point."""
+      so no step lowers it there either: a stationary point.
+    c and ||b|| read W's rows j and the tail alone: the zero entries of b
+    add exact zeros to their running sums."""
     Jr = _row_sum(J * r[:, None, :])
     JP = J - Jr[:, :, None] * r.conj()[:, None, :]
     W, sigma, Vh = np.linalg.svd(JP, full_matrices=False)
     kept = sigma > _RCOND * sigma[:, :1]
-    c = np.where(kept, _row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :]), 0.0)
-    stalled = ((_row_norm(c) ** 2 < _STALL_RTOL * _row_norm(b) ** 2)
+    c = np.where(kept, _running_sum(W[:, x].conj() * tail[:, i, None]
+                                    for i, x in enumerate(j)), 0.0)
+    stalled = ((_row_norm(c) ** 2 < _STALL_RTOL * _row_norm(tail) ** 2)
                | (_row_norm(np.ascontiguousarray(JP[:, 0])) <= _RCOND * sigma[:, 0]))
     dr = -_row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
     return dr, stalled
@@ -310,7 +314,7 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
     stopped, the starts after it are dropped, with reason "" and 0 rounds.
     """
     rows, cols = stack.shape[-2:]
-    diag = np.arange(min(rows, cols) - k)
+    diag = np.arange(min(rows, cols) - k) * (cols - k + 1)  # flat (i, i) of the tail block
     R0 = np.ascontiguousarray(R0, dtype=complex)
     S = len(R0)
     r = R0 / _row_norm(R0)[:, None]
@@ -334,10 +338,8 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
             # a step only for the starts that may go on, subset when some stop
             at = slice(None) if stepping == ids.size else np.flatnonzero(going)
             U, Vh = U[at], Vh[at]
-            b = np.zeros((stepping, rows - k, cols - k), dtype=complex)
-            b[:, diag, diag] = s[at, k:]
             dr, stalled = _gauss_newton_step(
-                _normal_map(stack, search[ids[at]], U, Vh, k), b.reshape(stepping, -1), r[at])
+                _normal_map(stack, search[ids[at]], U, Vh, k), s[at, k:], diag, r[at])
             going[at] = ~stalled
         if not going.all():
             i = ids[~going]

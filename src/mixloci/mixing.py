@@ -13,7 +13,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
-from .loci import (Pencil, ProjectivePoint, SearchConfig, _canonical, _loci_empty, locus_zero,
+from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, locus_zero,
                    pencil_from_ensemble, sample_locus)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
@@ -28,6 +28,7 @@ __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery"
 
 _SUM_TOL = 1e-9
 _GUARD = 10.0
+_MAX_TRIALS = 4096  # largest GenericityQuery.trials: every trial's pencil is built at once
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,8 @@ class GenericityQuery:
             raise ParameterOutOfRange("m and n must be >= 1")
         if not 1 <= self.r <= self.m * self.n:
             raise ParameterOutOfRange(f"rank r={self.r} outside [1, {self.m * self.n}]")
-        if self.trials < 0:
-            raise ParameterOutOfRange("trials must be nonnegative")
+        if not 0 <= self.trials <= _MAX_TRIALS:
+            raise ParameterOutOfRange(f"trials must be in [0, {_MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
 
@@ -185,17 +186,11 @@ def _certificate_at(point: ProjectivePoint, target_pencil: Pencil, component_pen
 def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
                       tol: ToleranceConfig) -> tuple[list[ProjectivePoint], dict]:
     if k == 0:
+        # the basis points alone: M_c is linear, so a unit combination x = sum_j c_j b_j
+        # has sigma_1(M_c(x)) <= sqrt(dim + 1) max_j sigma_1(M_c(b_j)), and it clears
+        # the component's guard band alone only where every b_j misses it by less
         locus = locus_zero(pencil, tol)
-        points = locus.points()
-        if locus.projective_dimension >= 1:
-            # positive-dimensional subspace: add random combinations as extra probes,
-            # per probe its real parts, then its imaginary parts; one product per
-            # probe, as a stacked product rounds differently
-            draws = np.random.default_rng(config.seed).standard_normal(
-                (8, 2, locus.basis.shape[1]))
-            probes = np.array([locus.basis @ c for c in draws[:, 0] + 1j * draws[:, 1]])
-            points += [ProjectivePoint(c) for c in _canonical(probes)]
-        return points, {"mode": "exact", "dimension": locus.projective_dimension}
+        return locus.points(), {"mode": "exact", "dimension": locus.projective_dimension}
     sample = sample_locus(pencil, k, config, tol)
     stats = dict(sample.search_stats)
     stats.update(mode="sampled", found=len(sample.points),

@@ -388,12 +388,20 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
      "--trials", "1"),
     ("--tol-rank", "0.5", "locus", "--state", fixture("example1.json"), "--k", "0"),
     ("--tol-rank", "0.5", "locus", "--state", fixture("example1.json"), "--k", "1"),
+    # checked where nothing is searched or drawn too
+    ("locus", "--state", fixture("example1.json"), "--k", "0", "--starts", "0"),
+    ("--seed", "-3", "locus", "--state", fixture("example1.json"), "--k", "0"),
+    ("--seed", "-3", "bounds", "--state", fixture("example3.json")),
+    ("--seed", "-3", "majorize", "--p", "0.25,0.25,0.25,0.25",
+     "--target", fixture("maximally_mixed_2x2.json")),
+    ("genericity", "--m", "6", "--n", "6", "--r", "12", "--t", "0", "--trials", "10000"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
         "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
         "check_mix_cut_above_spectrum", "bounds_cut_above_spectrum",
         "genericity_cut_above_spectrum", "locus_k0_cut_above_spectrum",
-        "locus_k1_cut_above_spectrum"])
+        "locus_k1_cut_above_spectrum", "locus_k0_starts_zero", "locus_k0_seed_negative",
+        "bounds_seed_negative", "majorize_seed_negative", "genericity_trials_above_cap"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

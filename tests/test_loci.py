@@ -317,8 +317,8 @@ def test_no_start_takes_a_step_in_the_round_it_stops(name, max_iter, monkeypatch
     stepped, stalls = [], []
     step = loci._gauss_newton_step
 
-    def counted(J, b, r):
-        dr, stalled = step(J, b, r)
+    def counted(J, tail, j, r):
+        dr, stalled = step(J, tail, j, r)
         stepped.append(len(r))
         stalls.append(int(stalled.sum()))
         return dr, stalled
@@ -531,17 +531,54 @@ def test_a_search_stops_at_once_where_sigma_cannot_move():
     assert stats["rounds"] == 1 and stats["stalled"] == 64
 
 
-def step_without_stationarity_test(J, b, r):
-    """_gauss_newton_step as it was before its stall test also stopped starts
-    whose sigma_{k+1} no step can move: the reference it must equal wherever
-    that clause does not fire."""
+def dense_step(J, b, r, stationarity_test=True):
+    """_gauss_newton_step as it read a dense b = vec(diag(s[k:])), the (S, m n)
+    array it was given: the reference the step on the tail singular values
+    must equal bit for bit.  Without stationarity_test, the step as it was
+    before its stall test also stopped starts whose sigma_{k+1} no step can move."""
     Jr = loci._row_sum(J * r[:, None, :])
-    W, sigma, Vh = np.linalg.svd(J - Jr[:, :, None] * r.conj()[:, None, :], full_matrices=False)
+    JP = J - Jr[:, :, None] * r.conj()[:, None, :]
+    W, sigma, Vh = np.linalg.svd(JP, full_matrices=False)
     kept = sigma > loci._RCOND * sigma[:, :1]
     c = np.where(kept, loci._row_sum(W.conj().swapaxes(-1, -2) * b[:, None, :]), 0.0)
     stalled = loci._row_norm(c) ** 2 < loci._STALL_RTOL * loci._row_norm(b) ** 2
+    if stationarity_test:
+        stalled |= loci._row_norm(np.ascontiguousarray(JP[:, 0])) <= loci._RCOND * sigma[:, 0]
     dr = -loci._row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
     return dr, stalled
+
+
+def dense_b(J, tail, j):
+    b = np.zeros(J.shape[:2], dtype=complex)
+    b[:, j] = tail
+    return b
+
+
+def step_without_stationarity_test(J, tail, j, r):
+    return dense_step(J, dense_b(J, tail, j), r, stationarity_test=False)
+
+
+@pytest.mark.parametrize("m, n, d", [(2, 5, 12), (5, 2, 12), (3, 4, 5), (1, 1, 3)],
+                         ids=["m<n", "m>n", "q<mn", "1x1"])
+def test_the_step_on_the_tail_equals_the_dense_b_step(m, n, d):
+    rng = np.random.default_rng(m * 100 + n * 10 + d)
+    S, j = 64, np.arange(min(m, n)) * (n + 1)  # b's nonzero entries
+    J = rng.standard_normal((S, m * n, d)) + 1j * rng.standard_normal((S, m * n, d))
+    J[:8, :, -1] = 0  # a lost column: where d <= m n, one more singular value to drop
+    J[8:16] *= 10.0 ** rng.integers(-12, 6, size=(8, 1, 1))
+    J[28:32, 0] = 0  # no step moves sigma_{k+1}
+    J[32:36, j] = 0  # no step reaches b
+    r = rng.standard_normal((S, d)) + 1j * rng.standard_normal((S, d))
+    r /= np.linalg.norm(r, axis=1)[:, None]
+    s = np.sort(np.abs(rng.standard_normal((S, min(m, n) + 1))), axis=1)[:, ::-1]
+    s[16:24] *= 10.0 ** rng.integers(-16, 0, size=(8, 1))
+    s[24:28, 1:] = 0  # exact locus points
+    tail = s[:, 1:]  # a strided view, as _descend passes it when every start steps
+    dr, stalled = loci._gauss_newton_step(J, tail, j, r)
+    dr_ref, stalled_ref = dense_step(J, dense_b(J, tail, j), r)
+    assert stalled[28:36].all() and not stalled[36:].any()
+    assert np.array_equal(dr.view(np.int64), dr_ref.view(np.int64))
+    assert np.array_equal(stalled, stalled_ref)
 
 
 def genericity_pencil(m, r, trial):

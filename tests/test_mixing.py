@@ -16,8 +16,7 @@ from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceCo
                      pencil_from_ensemble, random_density, random_pure, schmidt_rank_cap)
 from mixloci import is_locus_empty, loci
 from mixloci.errors import InvalidK, ParameterOutOfRange
-from mixloci.loci import Pencil, ProjectivePoint, SearchConfig, locus_zero, rank_at
-from mixloci.mixing import _locus_candidates
+from mixloci.loci import SearchConfig, locus_zero, rank_at
 from mixloci.numeric import numerical_rank
 
 from conftest import load_fixture
@@ -243,35 +242,49 @@ def test_certificate_reverifies_from_scratch():
     assert numerical_rank(hermitian_form(component, cert.witness, "A"), TOL) > cert.k
 
 
-def per_probe_candidates(pencil, config):
-    """The k = 0 candidates as they were built one probe at a time: the
-    reference the stacked canonical form must equal bit for bit."""
-    locus = locus_zero(pencil, TOL)
-    points = locus.points()
-    rng = np.random.default_rng(config.seed)
-    for _ in range(8):
-        coeff = rng.standard_normal(locus.basis.shape[1]) \
-            + 1j * rng.standard_normal(locus.basis.shape[1])
-        points.append(ProjectivePoint.of(locus.basis @ coeff))
-    return points
+def annihilated_state(rng, shape, P, count, eps=0.0):
+    """Equal mixture of `count` pure states whose m x n coefficient matrices
+    are P G + eps H, G and H Gaussian: for eps = 0 every r with r^T P = 0
+    annihilates each one from the left."""
+    def gaussian():
+        size = (shape.m, shape.n)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    members = [(1.0 / count, make_pure(P @ gaussian() + eps * gaussian(), shape))
+               for _ in range(count)]
+    return density_from_ensemble(make_ensemble(shape, members))
 
 
-def test_rank_zero_probes_equal_the_per_probe_ones():
-    rng = np.random.default_rng(5)
-    for ambient, kernel, scale in ((3, 2, 1.0), (5, 3, 1e-3), (6, 6, 1.0), (8, 4, 1e4)):
-        # ambient combinations of ambient - kernel blocks: a locus of dimension kernel - 1
-        base = rng.standard_normal((ambient - kernel, 3, 2)) \
-            + 1j * rng.standard_normal((ambient - kernel, 3, 2))
-        blocks = np.einsum("ij,jrc->irc", scale * rng.standard_normal((ambient, ambient - kernel)),
-                           base)
-        pencil = Pencil(np.ascontiguousarray(blocks))
-        config = SearchConfig(seed=int(rng.integers(1000)))
-        points, stats = _locus_candidates(pencil, 0, config, TOL)
-        assert stats == {"mode": "exact", "dimension": kernel - 1}
-        expected = per_probe_candidates(pencil, config)
-        assert len(points) == len(expected) == kernel + 8
-        for q, want in zip(points, expected):
-            assert np.array_equal(q.coords.view(np.int64), want.coords.view(np.int64))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(4, 3, 2), (5, 3, 2), (5, 4, 3)]),
+       st.sampled_from(["random", "partly", "nearly"]))
+def test_rank_zero_candidates_are_the_basis_points(seed, dims, kind):
+    # targets whose members share `a` left annihilators, so V_A^0 has dimension
+    # a - 1 >= 1, against components off it, on one point of it or close to it
+    m, n, a = dims
+    shape = BipartiteShape(m, n)
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((m, a)) + 1j * rng.standard_normal((m, a))
+    Q = np.linalg.qr(R.conj())[0]  # R^T (I - Q Q^dagger) = 0
+    target = annihilated_state(rng, shape, np.eye(m) - Q @ Q.conj().T, 3)
+    if kind == "random":
+        component = annihilated_state(rng, shape, np.eye(m), 2)
+    elif kind == "partly":  # annihilated by R's first column alone
+        q = Q[:, :1]
+        component = annihilated_state(rng, shape, np.eye(m) - q @ q.conj().T, 2)
+    else:
+        component = annihilated_state(rng, shape, np.eye(m) - Q @ Q.conj().T, 2,
+                                      eps=10.0 ** -rng.uniform(8, 13))
+    # k = 0 draws nothing: the verdict is the same under any seed
+    first, second = (check_component_necessary(target, component, "A", 0,
+                                               SearchConfig(seed=s), TOL)
+                     for s in (0, 1 + seed % 10**6))
+    assert first.stats == second.stats == {0: {"mode": "exact", "dimension": a - 1}}
+    assert first.status == second.status
+    if first.status == "INFEASIBLE":
+        witness = first.certificate.witness.coords
+        assert np.array_equal(witness, second.certificate.witness.coords)
+        basis = locus_zero(pencil_from_ensemble(eigen_ensemble(target, TOL), "A"), TOL).points()
+        assert any(np.array_equal(witness, q.coords) for q in basis)
 
 
 def test_schmidt_rank_cap_examples():
@@ -329,6 +342,14 @@ def test_generic_empty_predicate():
         GenericityQuery(3, 3, 3, 2, 1, seed=-1)
 
 
+def test_genericity_query_caps_trials():
+    # every trial's pencil is built at once, so the cap comes before any state is drawn
+    assert GenericityQuery(6, 6, 12, 3, 4096).trials == 4096
+    for trials in (4097, -1):
+        with pytest.raises(ParameterOutOfRange):
+            GenericityQuery(6, 6, 12, 3, trials)
+
+
 def test_generic_empty_predicate_quadratic_identity():
     for m in range(1, 13):
         for r in range(1, 13):
@@ -357,8 +378,9 @@ def test_monte_carlo_genericity_zero_trials():
 
 @pytest.mark.parametrize("m, n, r, t, trials, starts, batches", [
     (4, 4, 4, 2, 10, 16, [160]), (3, 3, 3, 2, 10, 16, [160]), (3, 3, 4, 1, 10, 16, [160]),
-    (3, 3, 3, 2, 8, 1366, [8196, 2732]),  # 6 trials of 1366 rows of 1872 bytes fit 16 MiB
-    (4, 4, 4, 2, 5, 900, [3600, 900])])  # at 3776 bytes a row, 4 trials of 900 do
+    (3, 3, 3, 2, 8, 1366, [8196, 2732]),  # 6 trials of 1366 rows of 1856 bytes fit 16 MiB
+    # at 3712 bytes a row, 5 trials of 900 rows fit, and a sixth takes a second batch
+    (4, 4, 4, 2, 5, 900, [4500]), (4, 4, 4, 2, 6, 900, [4500, 900])])
 def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, starts, batches,
                                                        monkeypatch):
     config = SearchConfig(starts=starts, seed=5, stop_at_first=True)
@@ -379,10 +401,10 @@ def test_genericity_batches_equal_one_search_per_trial(m, n, r, t, trials, start
 
 
 @pytest.mark.parametrize("m, n, r, t, trials, tol, shapes", [
-    (6, 6, 12, 3, 30, TOL, {(6, 6, 12)}), (4, 4, 4, 2, 200, TOL, {(4, 4, 4)}),
+    (6, 6, 12, 3, 40, TOL, {(6, 6, 12)}), (4, 4, 4, 2, 200, TOL, {(4, 4, 4)}),
     # a coarser rank cut leaves some trials' pencils with blocks of rank 3
     (4, 4, 4, 2, 200, ToleranceConfig(rank_rel_tol=1e-3), {(4, 4, 4), (4, 4, 3)})],
-    ids=["6-6-12-3-30", "4-4-4-2-200", "4-4-4-2-200-coarse-cut"])
+    ids=["6-6-12-3-40", "4-4-4-2-200", "4-4-4-2-200-coarse-cut"])
 def test_genericity_batches_keep_within_the_byte_budget(m, n, r, t, trials, tol, shapes,
                                                         monkeypatch):
     config = replace(CONFIG, starts=24)  # enough rows for more than one batch

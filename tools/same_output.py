@@ -47,7 +47,7 @@ def requests() -> list[list[str]]:
                          "--t", t, "--trials", "10"])
     for extra in (["--m", "4", "--n", "4", "--r", "4", "--t", "2"],
                   ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "300"],
-                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "5",
+                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "6",
                    "--starts", "900"],
                   ["--m", "3", "--n", "3", "--r", "3", "--t", "2"],
                   ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "5",
