@@ -425,33 +425,39 @@ def _sample(r, f, reason, rounds, starts: int) -> LocusSample:
 
 def _sample_loci(pencils, k: int, config: SearchConfig,
                  tol: ToleranceConfig) -> list[LocusSample]:
-    """sample_locus(pencils[i], k, config at seed config.seed + i, tol) for each
-    i.  The searches of one block shape run in _descend batches of
-    _searches_per_batch searches; no row depends on the batch, so each sample
-    is the one its search gives alone."""
+    """sample_locus(p, k, config at seed config.seed + i, tol) for the i-th pencil
+    p of the iterable pencils, read once.  A block shape's searches run in
+    _descend batches of _searches_per_batch, each as soon as it is full, so at
+    most one batch of pencils per shape is held; no row depends on the batch,
+    so each sample is the one its search gives alone."""
     if k < 0:
         raise InvalidK("rank bound k must be nonnegative")
-    samples = [None] * len(pencils)
-    shapes: dict[tuple, list[int]] = {}
+    starts = config.starts
+    samples = []
+    pending: dict[tuple, list[tuple[int, Pencil]]] = {}  # per block shape, the next batch
+
+    def run(shape, batch):
+        R0 = np.concatenate([_draw_starts(config.seed + i, starts, shape[0]) for i, _ in batch])
+        stack = np.stack([p.blocks for _, p in batch])
+        search = np.repeat(np.arange(len(batch)), starts)
+        r, f, reason, rounds = _descend(stack, search, k, R0, config, tol)
+        for j, (i, _) in enumerate(batch):
+            rows = slice(j * starts, (j + 1) * starts)
+            samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
+
     for i, p in enumerate(pencils):
         if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
             # every point is on the locus: k reaches the block size, or the pencil is zero
             stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}
-            samples[i] = LocusSample((), (), stats, trivial=True, min_residual_seen=0.0)
-        else:
-            shapes.setdefault(p.blocks.shape, []).append(i)
-    starts = config.starts
-    for shape, group in shapes.items():
-        per_batch = _searches_per_batch(shape, k, starts)
-        for lo in range(0, len(group), per_batch):
-            batch = group[lo:lo + per_batch]
-            R0 = np.concatenate([_draw_starts(config.seed + i, starts, shape[0]) for i in batch])
-            stack = np.stack([pencils[i].blocks for i in batch])
-            search = np.repeat(np.arange(len(batch)), starts)
-            r, f, reason, rounds = _descend(stack, search, k, R0, config, tol)
-            for j, i in enumerate(batch):
-                rows = slice(j * starts, (j + 1) * starts)
-                samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
+            samples.append(LocusSample((), (), stats, trivial=True, min_residual_seen=0.0))
+            continue
+        samples.append(None)  # set when its batch runs
+        shape = p.blocks.shape
+        pending.setdefault(shape, []).append((i, p))
+        if len(pending[shape]) == _searches_per_batch(shape, k, starts):
+            run(shape, pending.pop(shape))
+    for shape, batch in pending.items():
+        run(shape, batch)
     return samples
 
 
@@ -487,19 +493,20 @@ def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
 
 def _loci_empty(pencils, k: int, config: SearchConfig,
                 tol: ToleranceConfig) -> list[LocusVerdict]:
-    """is_locus_empty(pencils[i], k, config at seed config.seed + i, tol) for
-    each i, the searches run as _sample_loci runs them."""
+    """is_locus_empty(p, k, config at seed config.seed + i, tol) for the i-th
+    pencil p of pencils, read once as _sample_loci reads them."""
     if k == 0:
-        loci = [locus_zero(p, tol) for p in pencils]
+        loci = (locus_zero(p, tol) for p in pencils)
         return [LocusVerdict("EMPTY_EXACT") if locus.is_empty
                 else LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0]) for locus in loci]
-    return [_sampled_verdict(p, sample)
-            for p, sample in zip(pencils, _sample_loci(pencils, k, config, tol))]
+    ambient = []  # a trivial locus's witness e_0 needs its pencil's ambient dimension
+    samples = _sample_loci((ambient.append(p.ambient_dim) or p for p in pencils), k, config, tol)
+    return [_sampled_verdict(d, sample) for d, sample in zip(ambient, samples)]
 
 
-def _sampled_verdict(p: Pencil, sample: LocusSample) -> LocusVerdict:
+def _sampled_verdict(ambient: int, sample: LocusSample) -> LocusVerdict:
     if sample.trivial:
-        witness = ProjectivePoint.of(np.eye(p.ambient_dim)[0])
+        witness = ProjectivePoint.of(np.eye(ambient)[0])
         return LocusVerdict("NONEMPTY_WITNESS", witness=witness, min_residual=0.0)
     if sample.points:
         return LocusVerdict("NONEMPTY_WITNESS", witness=sample.points[0],

@@ -28,7 +28,7 @@ __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery"
 
 _SUM_TOL = 1e-9
 _GUARD = 10.0
-_MAX_TRIALS = 4096  # largest GenericityQuery.trials: every trial's pencil is built at once
+_MAX_TRIALS = 4096  # largest GenericityQuery.trials: it bounds one request's run time
 
 
 @dataclass(frozen=True)
@@ -346,8 +346,8 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     predicate = generic_empty_predicate(q)
     codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
-    pencils = [pencil_from_ensemble(eigen_ensemble(
-        random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in range(q.trials)]
+    pencils = (pencil_from_ensemble(eigen_ensemble(
+        random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in range(q.trials))
     verdicts = _loci_empty(pencils, q.t, config, tol)  # trial i searches from seed config.seed + i
     nonempty = sum(v.status == "NONEMPTY_WITNESS" for v in verdicts)
     residuals = [v.min_residual for v in verdicts if v.min_residual is not None]

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixloci import (BipartiteShape, DimensionMismatch, NotOnLocus, ParameterOutOfRange,
-                     ToleranceConfig, check_component_necessary, density_from_ensemble, eigen_ensemble, hermitian_form,
-                     in_locus, is_locus_empty, local_dimension, locus_zero, make_ensemble,
-                     make_pure, mix, numerical_rank, pencil_from_ensemble, random_density,
-                     rank_at, sample_locus)
+from mixloci import (BipartiteShape, DimensionMismatch, GenericityQuery, NotOnLocus,
+                     ParameterOutOfRange, ToleranceConfig, check_component_necessary,
+                     density_from_ensemble, eigen_ensemble, hermitian_form, in_locus,
+                     is_locus_empty, local_dimension, locus_zero, make_ensemble, make_pure, mix,
+                     monte_carlo_genericity, numerical_rank, pencil_from_ensemble,
+                     random_density, rank_at, sample_locus)
 from mixloci import loci
 from mixloci.loci import InvalidK, LinearLocus, Pencil, ProjectivePoint, SearchConfig, _descend
 
@@ -434,6 +435,44 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
             assert sample.min_residual_seen == alone.min_residual_seen
         assert batched[3].trivial and batched[7].trivial
         assert any(len(s.points) > 1 for s in batched) != stop_at_first
+
+
+def test_a_stream_of_pencils_is_read_once(monkeypatch):
+    # a one-shot generator of pencils of two block shapes, a trivial one
+    # (rank 2 <= k) and a zero one, with two rank-3 searches a batch: the
+    # samples and verdicts the same pencils give as a list
+    S33 = BipartiteShape(3, 3)
+    pencils = [pencil_from_ensemble(eigen_ensemble(random_density(S33, r, seed=[6, i]), TOL), "A")
+               for i, r in enumerate((3, 4, 2, 3, 3))]
+    pencils.append(Pencil(np.zeros((3, 3, 3), dtype=complex)))
+    config = SearchConfig(starts=8, seed=1, stop_at_first=True)
+    monkeypatch.setattr(loci, "_BATCH_BYTES", 2 * 8 * loci._row_bytes((3, 3, 3), 2))
+    listed = loci._sample_loci(pencils, 2, config, TOL)
+    rows = []
+    monkeypatch.setattr(loci, "_descend", lambda *args: rows.append(len(args[1])) or _descend(*args))
+    streamed = loci._sample_loci((p for p in pencils), 2, config, TOL)
+    assert rows == [8, 16, 8]  # the rank-4 search alone, the first two rank-3 ones, the last
+    assert len(streamed) == len(pencils) and streamed[2].trivial and streamed[5].trivial
+    for sample, reference in zip(streamed, listed):
+        assert [q.coords.tolist() for q in sample.points] == \
+            [q.coords.tolist() for q in reference.points]
+        assert sample.residuals == reference.residuals and sample.trivial == reference.trivial
+        assert sample.search_stats == reference.search_stats
+        assert sample.min_residual_seen == reference.min_residual_seen
+    for k in (0, 2):
+        streamed = loci._loci_empty((p for p in pencils), k, config, TOL)
+        listed = loci._loci_empty(pencils, k, config, TOL)
+        assert len(streamed) == len(pencils)
+        for verdict, reference in zip(streamed, listed):
+            assert verdict.status == reference.status
+            assert verdict.min_residual == reference.min_residual
+            assert (verdict.witness is None and reference.witness is None) or \
+                np.array_equal(verdict.witness.coords, reference.witness.coords)
+    assert listed[2].witness.coords.tolist() == [1, 0, 0]  # e_0 on the trivial loci
+    for m, r in ((3, 3), (4, 4)):  # some hits and none
+        report = monte_carlo_genericity(GenericityQuery(m, m, r, 2, 4, seed=3), config, TOL)
+        assert len(report.min_residuals) == len(report.witnesses) == 4
+        assert set(report.residual_summary) == {"min", "median", "max"}
 
 
 def kernel_peak(pencils, k, config):

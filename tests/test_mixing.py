@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -343,11 +344,36 @@ def test_generic_empty_predicate():
 
 
 def test_genericity_query_caps_trials():
-    # every trial's pencil is built at once, so the cap comes before any state is drawn
+    # the cap bounds one request's run time; the memory does not grow with trials
     assert GenericityQuery(6, 6, 12, 3, 4096).trials == 4096
     for trials in (4097, -1):
         with pytest.raises(ParameterOutOfRange):
             GenericityQuery(6, 6, 12, 3, trials)
+
+
+def genericity_peak(q, config):
+    """Bytes monte_carlo_genericity(q, config) holds at its peak, as
+    tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        monte_carlo_genericity(q, config, TOL)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("t", [0, 7])
+def test_genericity_memory_is_flat_in_trials(t, monkeypatch):
+    # the pencils are read as a stream, a batch holding two searches: 32
+    # trials hold no more of them at once than 4 do (the first call's peak,
+    # which counts one-time allocations, is not compared)
+    m, r = 8, 64
+    monkeypatch.setattr(loci, "_BATCH_BYTES", 2 * loci._row_bytes((m, m, r), t))
+    config = SearchConfig(starts=1, seed=0, stop_at_first=True)
+    peaks = [genericity_peak(GenericityQuery(m, m, r, t, trials), config) for trials in (4, 4, 32)]
+    assert peaks[2] - peaks[1] <= 16 * m * m * r  # one pencil's bytes
 
 
 def test_generic_empty_predicate_quadratic_identity():

@@ -25,10 +25,21 @@ def _fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+# genericity requests whose trials take more than one kernel batch;
+# tests/test_tools.py checks each against loci._searches_per_batch
+MULTI_BATCH = (
+    ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "300"],
+    ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "6", "--starts", "900"],
+    ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "8", "--starts", "1366"],
+    ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "1000"],
+    ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "100"],
+)
+
+
 def requests() -> list[list[str]]:
     """argv lists after `--json`: the searches on the fixtures, the mixture
     checks on example2 both ways and seeded genericity trials, then
-    genericity requests whose trials take more than one kernel batch."""
+    genericity requests that fit one kernel batch and the MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -46,18 +57,12 @@ def requests() -> list[list[str]]:
             reqs.append(["--seed", str(seed), "genericity", "--m", m, "--n", m, "--r", r,
                          "--t", t, "--trials", "10"])
     for extra in (["--m", "4", "--n", "4", "--r", "4", "--t", "2"],
-                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "300"],
-                  ["--m", "4", "--n", "4", "--r", "4", "--t", "2", "--trials", "6",
-                   "--starts", "900"],
                   ["--m", "3", "--n", "3", "--r", "3", "--t", "2"],
                   ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "5",
                    "--starts", "1366"],
-                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "8",
-                   "--starts", "1366"],
-                  ["--m", "3", "--n", "3", "--r", "3", "--t", "2", "--trials", "1000"],
                   ["--m", "5", "--n", "5", "--r", "9", "--t", "2", "--trials", "60"],
                   ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "30"],
-                  ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "100"]):
+                  *MULTI_BATCH):
         reqs.append(["genericity", *extra])
     return reqs
 
