@@ -6,7 +6,7 @@ from .errors import (DimensionMismatch, InvalidK, MixLociError, NotHermitian,
 from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoint,
                    SearchConfig, hermitian_form, in_locus, is_locus_empty,
                    local_dimension, locus_zero, pencil_from_ensemble, rank_at,
-                   sample_locus)
+                   sample_locus, spectral_pencil)
 from .mixing import (GenericityQuery, GenericityReport, MixCertificate, MixVerdict,
                      RangeContainment, ZeroLoci, check_component_necessary,
                      check_ensemble_schmidt, check_mixed_mix_eigen, check_pure_mix_eigen,

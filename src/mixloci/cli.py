@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import InvalidK, MixLociError, ParameterOutOfRange
 from .io import StateFileError, complex_to_pairs, file_sha256, load_state
-from .loci import SearchConfig, locus_zero, pencil_from_ensemble, sample_locus
+from .loci import SearchConfig, locus_zero, sample_locus, spectral_pencil
 from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
                      check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
                      monte_carlo_genericity)
 from .numeric import ToleranceConfig
-from .states import support
 
 __all__ = ["main", "build_parser"]
 
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("majorize", help="eigenvalue majorization constraints")
     p.add_argument("--p", help="comma-separated probabilities (pure-decomposition test)")
     p.add_argument("--target", help="target state file")
-    p.add_argument("--components", nargs="*", default=(), help="component state files")
+    p.add_argument("--components", nargs="+", default=(), help="component state files")
     p.add_argument("--weights", help="comma-separated mixing weights")
     p.add_argument("--reduced", action="store_true",
                    help="also check the partial-trace constraints")
@@ -100,9 +99,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_locus(args, tol: ToleranceConfig) -> int:
-    state = load_state(args.state, tol)
-    support(state.density, tol)  # refuse a rank cut above every eigenvalue, as bounds does
-    pencil = pencil_from_ensemble(state.ensemble, args.side)
+    pencil = spectral_pencil(load_state(args.state, tol).density, args.side, tol)
     inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
     config = SearchConfig(starts=args.starts, seed=args.seed)  # checked for k = 0 too
     if args.k == 0:
@@ -196,6 +193,8 @@ def _cmd_majorize(args, tol: ToleranceConfig) -> int:
     if args.p is not None:
         if args.target is None:
             raise StateFileError("--p requires --target")
+        if args.components or args.weights is not None or args.reduced:
+            raise StateFileError("--p takes no --components, --weights or --reduced")
         probs = _parse_floats(args.p)
         target = load_state(args.target, tol)
         ok = check_pure_mix_eigen(target.density, probs)

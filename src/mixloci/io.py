@@ -34,6 +34,8 @@ class StateFileError(MixLociError):
 
 @dataclass(frozen=True)
 class LoadedState:
+    """No command reads `.ensemble`: a command's pencil is loci.spectral_pencil(density)."""
+
     shape: BipartiteShape
     density: DensityMatrix
     ensemble: Ensemble

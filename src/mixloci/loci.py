@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidK, NotOnLocus, ParameterOutOfRange
 from .numeric import ToleranceConfig, null_space, numerical_rank
-from .states import DensityMatrix, Ensemble, Side
+from .states import DensityMatrix, Ensemble, Side, support
 
 __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
-           "LocusVerdict", "pencil_from_ensemble", "hermitian_form", "rank_at", "in_locus",
-           "locus_zero", "sample_locus", "local_dimension", "is_locus_empty"]
+           "LocusVerdict", "pencil_from_ensemble", "spectral_pencil", "hermitian_form", "rank_at",
+           "in_locus", "locus_zero", "sample_locus", "local_dimension", "is_locus_empty"]
 
 _POINT_TOL = 1e-9
 
@@ -156,16 +156,24 @@ class LocusVerdict:
     min_residual: float | None = None
 
 
+def _side_pencil(a: np.ndarray, side: Side) -> Pencil:
+    """The pencil of the m x n x t amplitude tensor a on one side: blocks[w] =
+    a[w, :, :], n x t, on side A and blocks[j] = a[:, j, :], m x t, on side B."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return Pencil(np.ascontiguousarray(a if side == "A" else np.transpose(a, (1, 0, 2))))
+
+
 def pencil_from_ensemble(e: Ensemble, side: Side) -> Pencil:
     """Blocks of the mn x t amplitude matrix A, per side."""
-    a = e.amplitude_tensor()
-    if side == "A":
-        blocks = a  # blocks[w] = a[w, :, :], n x t
-    elif side == "B":
-        blocks = np.transpose(a, (1, 0, 2))  # blocks[j] = a[:, j, :], m x t
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return Pencil(np.ascontiguousarray(blocks))
+    return _side_pencil(e.amplitude_tensor(), side)
+
+
+def spectral_pencil(rho: DensityMatrix, side: Side,
+                    tol: ToleranceConfig = ToleranceConfig()) -> Pencil:
+    """rho's pencil: that of its spectral ensemble, one column per eigenvector
+    above the rank cut.  It depends on rho alone, whatever ensemble listed it."""
+    return _side_pencil(support(rho, tol).eigenvectors.reshape(rho.shape.m, rho.shape.n, -1), side)
 
 
 def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np.ndarray:

@@ -14,11 +14,10 @@ import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
 from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, locus_zero,
-                   pencil_from_ensemble, sample_locus)
+                   sample_locus, spectral_pencil)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
-                     eigen_ensemble, partial_trace, random_density, rank_cut, schmidt_rank,
-                     support)
+                     partial_trace, random_density, rank_cut, schmidt_rank, support)
 
 __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
            "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
@@ -200,7 +199,7 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
 
 def range_containment(target: DensityMatrix, component: DensityMatrix,
                       tol: ToleranceConfig = ToleranceConfig()) -> RangeContainment:
-    """Range test on the stored spectra cut as eigen_ensemble cuts them.  Within
+    """Range test on the stored spectra cut as spectral_pencil cuts them.  Within
     a unit matrix's rank threshold over the guard band (0 at full rank), a
     leak counts as none."""
     t, c = support(target, tol), support(component, tol)
@@ -223,28 +222,22 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     """Search V^k(target) for a point outside V^k(component).
 
     Such a point certifies that no positive weights and no further components
-    can make `component` appear in any mixture equal to `target`.  With k=None
-    every admissible rank bound is scanned, cheapest (exact k=0) first.
-    A NO_OBSTRUCTION_FOUND verdict is a semidecision, not a feasibility proof.
-    When range(component) lies in range(target), V^k(target) lies in every
-    V^k(component), so no scan can certify and none runs.  Nor does one run
-    when a target eigenvalue lies within the guard band of the rank cut: a
-    component there may be cut out of the target's pencil, and a certificate
-    against it would be false.
+    can make `component` appear in any mixture equal to `target`.  k stops
+    below the target pencil's block size; with k=None every such k is scanned,
+    cheapest (exact k=0) first.  A NO_OBSTRUCTION_FOUND verdict is a
+    semidecision, not a feasibility proof.  When range(component) lies in
+    range(target), V^k(target) lies in every V^k(component), so no scan can
+    certify and none runs.  Nor does one run when a target eigenvalue lies
+    within the guard band of the rank cut: a component there may be cut out of
+    the target's pencil, and a certificate against it would be false.
     """
     if target.shape != component.shape:
         raise ShapeMismatch("target and component shapes differ")
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    # the target pencil's blocks are n (side A) or m (side B) by its support's size
-    max_k = min(target.shape.n if side == "A" else target.shape.m,
-                support(target, tol).eigenvalues.size)
-    if k is None:
-        ks = range(0, max_k)
-    else:
-        if not 0 <= k < max_k:
-            raise InvalidK(f"k={k} outside [0, {max_k})")
-        ks = [k]
+    target_pencil = spectral_pencil(target, side, tol)
+    max_k = target_pencil.max_rank_bound()
+    if k is not None and not 0 <= k < max_k:
+        raise InvalidK(f"k={k} outside [0, {max_k})")
+    ks = range(max_k) if k is None else [k]
     range_test = range_containment(target, component, tol)
     if range_test.contained:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test)
@@ -254,8 +247,7 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test,
                           refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
                                   f"the rank cut {cut:.3e}")
-    target_pencil = pencil_from_ensemble(eigen_ensemble(target, tol), side)
-    component_pencil = pencil_from_ensemble(eigen_ensemble(component, tol), side)
+    component_pencil = spectral_pencil(component, side, tol)
     all_stats = {}
     for kk in ks:
         points, stats = _locus_candidates(target_pencil, kk, config, tol)
@@ -278,9 +270,8 @@ class ZeroLoci:
 
     @staticmethod
     def of(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig()) -> "ZeroLoci":
-        """Both loci from one spectral ensemble: they depend on rho alone."""
-        ensemble = eigen_ensemble(rho, tol)
-        dim_a, dim_b = (locus_zero(pencil_from_ensemble(ensemble, side), tol).projective_dimension
+        """Both loci from rho's spectral pencils: they depend on rho alone."""
+        dim_a, dim_b = (locus_zero(spectral_pencil(rho, side, tol), tol).projective_dimension
                         for side in ("A", "B"))
         return ZeroLoci(rho.shape, dim_a, dim_b)
 
@@ -346,8 +337,8 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     predicate = generic_empty_predicate(q)
     codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
-    pencils = (pencil_from_ensemble(eigen_ensemble(
-        random_density(shape, q.r, seed=[q.seed, trial]), tol), "A") for trial in range(q.trials))
+    pencils = (spectral_pencil(random_density(shape, q.r, seed=[q.seed, trial]), "A", tol)
+               for trial in range(q.trials))
     verdicts = _loci_empty(pencils, q.t, config, tol)  # trial i searches from seed config.seed + i
     nonempty = sum(v.status == "NONEMPTY_WITNESS" for v in verdicts)
     residuals = [v.min_residual for v in verdicts if v.min_residual is not None]

@@ -240,6 +240,32 @@ def test_bounds_consistent_on_tiny_weight_member(tmp_path):
     assert doc["data"]["dim_V_A_0"] == 0 and doc["data"]["schmidt_rank_cap"] == 1
 
 
+def json_report(capsys, *argv):
+    from mixloci.cli import main
+    assert main(["--json", *map(str, argv)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_locus_reads_the_pencil_bounds_reads(tmp_path, capsys):
+    # the file lists |11> with a weight below the rank threshold: rho's
+    # spectral pencil has one column, the listed ensemble's would have two
+    state = {"m": 2, "n": 2, "normalize": False, "ensemble": [
+        {"p": 1 - 1e-13, "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"p": 1e-13, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+    ]}
+    path = tmp_path / "tiny_weight.json"
+    path.write_text(json.dumps(state))
+    for state_path in [path, *sorted(FIXTURES.glob("*.json"))]:
+        bounds = json_report(capsys, "bounds", "--state", state_path)["data"]
+        for side in ("A", "B"):
+            locus = json_report(capsys, "locus", "--state", state_path, "--side", side, "--k", "0")
+            assert locus["data"]["projective_dimension"] == bounds[f"dim_V_{side}_0"], state_path
+    assert json_report(capsys, "bounds", "--state", path)["data"]["dim_V_A_0"] == 0
+    for side in ("A", "B"):
+        doc = json_report(capsys, "locus", "--state", path, "--side", side, "--k", "1")
+        assert doc["verdict"] == "TRIVIAL" and doc["data"]["points"] == []
+
+
 def test_bounds_decomposes_the_state_once(monkeypatch, capsys):
     from mixloci.cli import main
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
@@ -395,13 +421,21 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("--seed", "-3", "majorize", "--p", "0.25,0.25,0.25,0.25",
      "--target", fixture("maximally_mixed_2x2.json")),
     ("genericity", "--m", "6", "--n", "6", "--r", "12", "--t", "0", "--trials", "10000"),
+    # --p is Theorem 1's check: Theorem 2's arguments are refused, not ignored
+    ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--components",
+     fixture("bell.json"), "--weights", "1", "--reduced"),
+    ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--components",
+     fixture("bell.json")),
+    ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--weights", "1"),
+    ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--reduced"),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
         "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
         "check_mix_cut_above_spectrum", "bounds_cut_above_spectrum",
         "genericity_cut_above_spectrum", "locus_k0_cut_above_spectrum",
         "locus_k1_cut_above_spectrum", "locus_k0_starts_zero", "locus_k0_seed_negative",
-        "bounds_seed_negative", "majorize_seed_negative", "genericity_trials_above_cap"])
+        "bounds_seed_negative", "majorize_seed_negative", "genericity_trials_above_cap",
+        "p_with_theorem2_arguments", "p_with_components", "p_with_weights", "p_with_reduced"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

@@ -14,11 +14,11 @@ from mixloci import (BipartiteShape, DimensionMismatch, GenericityQuery, NotOnLo
                      density_from_ensemble, eigen_ensemble, hermitian_form, in_locus,
                      is_locus_empty, local_dimension, locus_zero, make_ensemble, make_pure, mix,
                      monte_carlo_genericity, numerical_rank, pencil_from_ensemble,
-                     random_density, rank_at, sample_locus)
+                     random_density, rank_at, sample_locus, spectral_pencil)
 from mixloci import loci
 from mixloci.loci import InvalidK, LinearLocus, Pencil, ProjectivePoint, SearchConfig, _descend
 
-from conftest import (assert_pencil_matches_paper, load_fixture,
+from conftest import (FIXTURES, assert_pencil_matches_paper, load_fixture,
                       paper_pencil_example2_component, paper_pencil_example2_target,
                       paper_pencil_example3, paper_pencil_example4, random_unitary)
 
@@ -779,6 +779,30 @@ def test_decomposition_independence():
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         pt = ProjectivePoint.of(z)
         assert rank_at(p_file, pt, TOL) == rank_at(p_eigen, pt, TOL)
+
+
+def test_spectral_pencil_is_the_spectral_ensembles_pencil_byte_for_byte():
+    # bounds, check-mix and genericity read spectral_pencil where they read
+    # pencil_from_ensemble(eigen_ensemble(...)): equal bytes keep their reports
+    states = [(load_fixture(path.name).density, TOL) for path in sorted(FIXTURES.glob("*.json"))]
+    states += [(random_density(BipartiteShape(m, n), r, seed=[21, m, r]), TOL)
+               for m, n, r in ((2, 3, 6), (6, 6, 12), (16, 16, 256))]
+    rank4 = random_density(BipartiteShape(3, 3), 4, seed=22)
+    lam = rank4.eigenvalues()
+    coarse = ToleranceConfig(abs_floor=(lam[2] + lam[3]) / 2)  # cuts lam[3]
+    assert spectral_pencil(rank4, "A", coarse).block_shape == (3, 3)
+    states.append((rank4, coarse))
+    for rho, tol in states:
+        for side in ("A", "B"):
+            ours = spectral_pencil(rho, side, tol).blocks
+            theirs = pencil_from_ensemble(eigen_ensemble(rho, tol), side).blocks
+            assert ours.shape == theirs.shape and ours.flags.c_contiguous
+            assert ours.tobytes() == theirs.tobytes()
+    with pytest.raises(ValueError) as ours:
+        spectral_pencil(rank4, "C", TOL)
+    with pytest.raises(ValueError) as theirs:
+        pencil_from_ensemble(eigen_ensemble(rank4, TOL), "C")
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_column_scaling_invariance():

@@ -38,3 +38,12 @@ def test_peak_rss_measures_each_request_in_its_own_process(capsys):
     assert [line.split(":")[0] for line in lines[:2]] == ["--trials 0", "--trials 3"]
     assert all(": exit 0, peak " in line for line in lines[:2])
     assert peak_rss.main(["1000", "-1", *request]) == 1  # a run that exits 2
+
+
+def test_readme_examples_run_the_library_quick_start():
+    readme_examples = load_tool("readme_examples")
+    code = readme_examples.quick_start((FIXTURES.parent / "README.md").read_text())
+    assert "spectral_pencil(target.density" in code
+    done = readme_examples.run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "INFEASIBLE"

@@ -38,8 +38,10 @@ MULTI_BATCH = (
 
 def requests() -> list[list[str]]:
     """argv lists after `--json`: the searches on the fixtures, the mixture
-    checks on example2 both ways and seeded genericity trials, then
-    genericity requests that fit one kernel batch and the MULTI_BATCH ones."""
+    checks on example2 both ways and of example2_target against itself (the
+    range-contained path), bounds on every fixture, a Theorem-1 and a
+    Theorem-2 majorization, seeded genericity trials, then genericity
+    requests that fit one kernel batch and the MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -52,6 +54,12 @@ def requests() -> list[list[str]]:
     for target, component in (pair, pair[::-1]):
         for k in ("all", "2", "1"):
             reqs.append(["check-mix", "--target", target, "--component", component, "--k", k])
+    reqs.append(["check-mix", "--target", pair[0], "--component", pair[0]])
+    reqs += [["bounds", "--state", str(path)] for path in sorted(FIXTURES.glob("*.json"))]
+    reqs.append(["majorize", "--p", "0.25,0.25,0.25,0.25",
+                 "--target", _fixture("maximally_mixed_2x2.json")])
+    reqs.append(["majorize", "--target", pair[0], "--components", *pair,
+                 "--weights", "0.5,0.5", "--reduced"])
     for m, r, t in (("4", "4", "2"), ("3", "3", "2"), ("3", "4", "1")):
         for seed in range(8):
             reqs.append(["--seed", str(seed), "genericity", "--m", m, "--n", m, "--r", r,
