@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidK, MixLociError, ParameterOutOfRange
-from .io import StateFileError, complex_to_pairs, file_sha256, load_state
+from .io import complex_to_pairs, file_sha256, load_state
 from .loci import SearchConfig, locus_zero, sample_locus, spectral_pencil
 from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
                      check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
@@ -95,11 +95,11 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise StateFileError(f"malformed number list {text!r}") from exc
+        raise ParameterOutOfRange(f"malformed number list {text!r}") from exc
 
 
 def _cmd_locus(args, tol: ToleranceConfig) -> int:
-    pencil = spectral_pencil(load_state(args.state, tol).density, args.side, tol)
+    pencil = spectral_pencil(load_state(args.state).density, args.side, tol)
     inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
     config = SearchConfig(starts=args.starts, seed=args.seed)  # checked for k = 0 too
     if args.k == 0:
@@ -130,8 +130,8 @@ def _cmd_locus(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
-    target = load_state(args.target, tol)
-    component = load_state(args.component, tol)
+    target = load_state(args.target)
+    component = load_state(args.component)
     try:
         k = None if args.k == "all" else int(args.k)
     except ValueError as exc:
@@ -171,7 +171,7 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_bounds(args, tol: ToleranceConfig) -> int:
-    loci = ZeroLoci.of(load_state(args.state, tol).density, tol)
+    loci = ZeroLoci.of(load_state(args.state).density, tol)
     data = {
         "dim_V_A_0": loci.dim_a,
         "dim_V_B_0": loci.dim_b,
@@ -190,13 +190,14 @@ def _cmd_bounds(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_majorize(args, tol: ToleranceConfig) -> int:
+    """Theorems 1 and 2 read eigenvalues only: no rank call, so `tol` is unused."""
     if args.p is not None:
         if args.target is None:
-            raise StateFileError("--p requires --target")
+            raise ParameterOutOfRange("--p requires --target")
         if args.components or args.weights is not None or args.reduced:
-            raise StateFileError("--p takes no --components, --weights or --reduced")
+            raise ParameterOutOfRange("--p takes no --components, --weights or --reduced")
         probs = _parse_floats(args.p)
-        target = load_state(args.target, tol)
+        target = load_state(args.target)
         ok = check_pure_mix_eigen(target.density, probs)
         inputs = {"target": file_sha256(args.target), "p": probs}
         data = {"pure_decomposition_possible": ok,
@@ -204,10 +205,10 @@ def _cmd_majorize(args, tol: ToleranceConfig) -> int:
         return _emit(args, _report(args, "majorize", inputs, "PASS" if ok else "FAIL", data),
                      f"Theorem-1 check: {'pass' if ok else 'fail'}")
     if args.target is None or not args.components or args.weights is None:
-        raise StateFileError("majorize needs --p or (--target --components --weights)")
+        raise ParameterOutOfRange("majorize needs --p or (--target --components --weights)")
     weights = _parse_floats(args.weights)
-    target = load_state(args.target, tol)
-    components = [load_state(f, tol) for f in args.components]
+    target = load_state(args.target)
+    components = [load_state(f) for f in args.components]
     ok = check_mixed_mix_eigen(target.density, weights, [c.density for c in components])
     data = {"eigen_constraint": ok}
     if args.reduced:
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
             raise ParameterOutOfRange(f"seed must be >= 0, got {args.seed}")
         tol = ToleranceConfig(rank_rel_tol=args.tol_rank, abs_floor=args.tol_floor)
         return _HANDLERS[args.command](args, tol)
-    except (StateFileError, MixLociError, OSError) as exc:
+    except (MixLociError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MixLociError, NotHermitian, ShapeMismatch, WeightSumInvalid, ZeroVector
-from .numeric import ToleranceConfig
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
-                     density_from_ensemble, density_matrix_from_array, eigen_ensemble,
-                     make_ensemble, make_pure)
+                     density_from_ensemble, density_matrix_from_array, make_ensemble,
+                     make_pure)
 
 __all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs",
            "pairs_to_complex", "file_sha256"]
@@ -34,11 +33,11 @@ class StateFileError(MixLociError):
 
 @dataclass(frozen=True)
 class LoadedState:
-    """No command reads `.ensemble`: a command's pencil is loci.spectral_pencil(density)."""
+    """A state file's density matrix and the ensemble it lists (None for a
+    matrix-form file); a command's pencil is loci.spectral_pencil(density)."""
 
-    shape: BipartiteShape
     density: DensityMatrix
-    ensemble: Ensemble
+    ensemble: Ensemble | None
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
@@ -63,8 +62,8 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
-    """Parse and validate a state file, producing both matrix and ensemble views.
+def load_state(path) -> LoadedState:
+    """Parse and validate a state file, applying no rank cut.
 
     Every malformed document raises StateFileError.
     """
@@ -108,7 +107,7 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
             ensemble = make_ensemble(shape, members)
             if not normalize and ensemble.normalized:
                 raise StateFileError("weights do not sum to 1 with normalize=false")
-            return LoadedState(shape, density_from_ensemble(ensemble), ensemble)
+            return LoadedState(density_from_ensemble(ensemble), ensemble)
         entries = pairs_to_complex(doc["matrix"], "matrix")
         if entries.size != shape.dim ** 2:
             raise StateFileError(
@@ -122,7 +121,6 @@ def load_state(path, tol: ToleranceConfig = ToleranceConfig()) -> LoadedState:
             if not np.abs(matrix).max() <= _MAX_MAGNITUDE:  # a tiny trace scales entries up
                 raise StateFileError(
                     f"matrix entries exceed {_MAX_MAGNITUDE:g} once divided by the trace")
-        density = density_matrix_from_array(matrix, shape)
-        return LoadedState(shape, density, eigen_ensemble(density, tol))
+        return LoadedState(density_matrix_from_array(matrix, shape), None)
     except (ShapeMismatch, NotHermitian, ZeroVector, WeightSumInvalid) as exc:
         raise StateFileError(str(exc)) from exc

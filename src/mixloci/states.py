@@ -235,9 +235,7 @@ def random_density(shape: BipartiteShape, rank: int, seed) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     for _ in range(100):
         G = rng.standard_normal((shape.dim, rank)) + 1j * rng.standard_normal((shape.dim, rank))
-        if np.linalg.matrix_rank(G) < rank:
-            continue
-        Q, _ = np.linalg.qr(G)
+        Q, _ = np.linalg.qr(G)  # Householder: orthonormal columns whatever G's rank
         weights = rng.dirichlet(np.ones(rank))
         if weights.min() < 1e-6:
             continue

@@ -208,7 +208,7 @@ def test_state_file_round_trip(tmp_path):
                  "example3.json", "example4.json", "bell.json",
                  "maximally_mixed_2x2.json"):
         state = load_state(fixture(name))
-        doc = {"m": state.shape.m, "n": state.shape.n,
+        doc = {"m": state.density.shape.m, "n": state.density.shape.n,
                "matrix": [[v.real, v.imag] for v in np.asarray(state.density.matrix).ravel()]}
         path = tmp_path / name
         path.write_text(json.dumps(doc))
@@ -266,6 +266,29 @@ def test_locus_reads_the_pencil_bounds_reads(tmp_path, capsys):
         assert doc["verdict"] == "TRIVIAL" and doc["data"]["points"] == []
 
 
+def test_majorize_reads_matrix_and_ensemble_files_alike(tmp_path, capsys):
+    # at a rank cut above every eigenvalue only the commands that make a rank
+    # call refuse, whichever form the state file takes
+    from mixloci.cli import main
+    bell = load_state(fixture("bell.json"))
+    path = tmp_path / "bell_matrix.json"
+    path.write_text(json.dumps({"m": 2, "n": 2,
+                                "matrix": complex_to_pairs(bell.density.matrix)}))
+    assert load_state(path).ensemble is None
+
+    def outcomes(state):
+        for argv in (("majorize", "--p", "1", "--target", state),
+                     ("majorize", "--target", state, "--components", state, "--weights", "1"),
+                     ("bounds", "--state", state), ("locus", "--state", state, "--k", "0")):
+            code = main(["--tol-rank", "0.5", *map(str, argv)])
+            yield code, capsys.readouterr()
+
+    ensemble_form = list(outcomes(fixture("bell.json")))
+    assert list(outcomes(path)) == ensemble_form
+    assert [code for code, _ in ensemble_form] == [0, 0, 2, 2]
+    assert [len(out.err.splitlines()) for _, out in ensemble_form] == [0, 0, 1, 1]
+
+
 def test_bounds_decomposes_the_state_once(monkeypatch, capsys):
     from mixloci.cli import main
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
@@ -318,8 +341,11 @@ OVERFLOWING_STATES = [
     {"m": 2, "n": 2, "ensemble": [{"p": 1, "amps": [[float("nan"), 0]] + AMPS_00[1:]}]},
     {"m": 2, "n": 2, "normalize": "false", "ensemble": [{"p": 1, "amps": AMPS_00}]},
     *OVERFLOWING_STATES,
+    {"m": 2, "n": 2, "normalize": False, "ensemble": [{"p": 0.5, "amps": AMPS_00}]},
+    {"m": 2, "n": 2, "normalize": False, "ensemble": [{"p": 1, "amps": [[2, 0]] + AMPS_00[1:]}]},
 ], ids=["missing_p", "ensemble_not_list", "nan_amplitude", "normalize_string",
-        "overflowing_weights", "overflowing_amplitudes", "overflowing_matrix"])
+        "overflowing_weights", "overflowing_amplitudes", "overflowing_matrix",
+        "unnormalized_weights", "unnormalized_amplitudes"])
 def test_malformed_state_file_exits_2(tmp_path, doc):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
@@ -428,6 +454,9 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
      fixture("bell.json")),
     ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--weights", "1"),
     ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--reduced"),
+    ("majorize", "--p", "0.5,abc", "--target", fixture("maximally_mixed_2x2.json")),
+    ("majorize", "--p", "1"),
+    ("majorize", "--target", fixture("maximally_mixed_2x2.json")),
 ], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
         "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
@@ -435,7 +464,8 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
         "genericity_cut_above_spectrum", "locus_k0_cut_above_spectrum",
         "locus_k1_cut_above_spectrum", "locus_k0_starts_zero", "locus_k0_seed_negative",
         "bounds_seed_negative", "majorize_seed_negative", "genericity_trials_above_cap",
-        "p_with_theorem2_arguments", "p_with_components", "p_with_weights", "p_with_reduced"])
+        "p_with_theorem2_arguments", "p_with_components", "p_with_weights", "p_with_reduced",
+        "p_malformed", "p_without_target", "target_without_components"])
 def test_out_of_range_setting_exits_2(args):
     completed = run_cli(*args, check=False)
     assert completed.returncode == 2

@@ -40,8 +40,10 @@ def requests() -> list[list[str]]:
     """argv lists after `--json`: the searches on the fixtures, the mixture
     checks on example2 both ways and of example2_target against itself (the
     range-contained path), bounds on every fixture, a Theorem-1 and a
-    Theorem-2 majorization, seeded genericity trials, then genericity
-    requests that fit one kernel batch and the MULTI_BATCH ones."""
+    Theorem-2 majorization, the matrix-form fixture's loci and, at a rank cut
+    above its every eigenvalue, its majorization and bounds, seeded
+    genericity trials, then genericity requests that fit one kernel batch and
+    the MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -60,6 +62,10 @@ def requests() -> list[list[str]]:
                  "--target", _fixture("maximally_mixed_2x2.json")])
     reqs.append(["majorize", "--target", pair[0], "--components", *pair,
                  "--weights", "0.5,0.5", "--reduced"])
+    matrix_form = _fixture("maximally_mixed_2x2.json")
+    reqs += [["locus", "--state", matrix_form, "--k", k] for k in ("0", "1")]
+    reqs.append(["--tol-rank", "0.5", "majorize", "--p", "1", "--target", matrix_form])
+    reqs.append(["--tol-rank", "0.5", "bounds", "--state", matrix_form])
     for m, r, t in (("4", "4", "2"), ("3", "3", "2"), ("3", "4", "1")):
         for seed in range(8):
             reqs.append(["--seed", str(seed), "genericity", "--m", m, "--n", m, "--r", r,
