@@ -317,9 +317,11 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
     Returns arrays (r, f, reason, rounds) over the rows: each start's point
     of least f, that f, why it stopped ("hit" exactly when f is within the
     rank threshold, else "stalled" or "max_iter") and its rounds.
-    With config.stop_at_first a search ends at its lowest-index start that
-    hits (else at its last start): once every start before that one has
-    stopped, the starts after it are dropped, with reason "" and 0 rounds.
+    With config.stop_at_first, in a round where a start hits, every later
+    start of its search is dropped, with reason "" and 0 rounds; its earlier
+    starts run on to their own stop.  No row depends on the others, so the
+    rows end as they would if every start ran to its stop and the starts
+    after the search's lowest-index hit were dropped then.
     """
     rows, cols = stack.shape[-2:]
     diag = np.arange(min(rows, cols) - k) * (cols - k + 1)  # flat (i, i) of the tail block
@@ -354,14 +356,11 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
             hit = polished[~going] | (f_best[i] <= tol.threshold_from_sigma(smax_best[i], rows, cols))
             reason[i] = np.where(hit, "hit", "stalled" if n < _MAX_ITER else "max_iter")
             rounds[i] = n
-            if config.stop_at_first:
-                # a search ends when its first start that hit or still runs is a hit
-                open_ = np.flatnonzero((reason == "hit") | (reason == ""))
-                first = open_[np.diff(search[open_], prepend=-1) != 0]
-                first = first[reason[first] == "hit"]
-                end = np.full(len(stack), S)
-                end[search[first]] = first
-                dropped = np.arange(S) > end[search]
+            if config.stop_at_first and hit.any():
+                # a hit drops every later start of its search
+                first = np.full(len(stack), S)
+                np.minimum.at(first, search[i[hit]], i[hit])
+                dropped = np.arange(S) > first[search]
                 reason[dropped], rounds[dropped] = "", 0
                 going &= ~dropped[ids]
             if not stepping:

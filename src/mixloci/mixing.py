@@ -56,13 +56,14 @@ class RangeContainment:
 
 @dataclass(frozen=True)
 class MixVerdict:
-    """`refused` says why no scan ran although the range test did not prove
-    containment; it is None whenever the scan ran or containment was proven."""
+    """Every verdict carries the range test, which runs first.  `refused` says
+    why no scan ran although the range test did not prove containment; it is
+    None whenever the scan ran or containment was proven."""
 
     status: Literal["INFEASIBLE", "NO_OBSTRUCTION_FOUND"]
+    range_test: RangeContainment
     certificate: MixCertificate | None = None
     stats: dict = field(default_factory=dict)
-    range_test: RangeContainment | None = None
     refused: str | None = None
 
 
@@ -84,6 +85,14 @@ class GenericityQuery:
             raise ParameterOutOfRange(f"trials must be in [0, {_MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:
             raise ParameterOutOfRange(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.t < min(self.n, self.r):
+            raise ParameterOutOfRange(f"t={self.t} outside [0, min(n, r))")
+
+    @property
+    def codimension(self) -> int:
+        """The codimension of the n x r matrices of rank at most t: side A's
+        pencil M(x) is n x r at each x in CP^{m-1}."""
+        return (self.n - self.t) * (self.r - self.t)
 
 
 @dataclass(frozen=True)
@@ -240,11 +249,11 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     ks = range(max_k) if k is None else [k]
     range_test = range_containment(target, component, tol)
     if range_test.contained:
-        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test)
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test)
     cut = rank_cut(target, tol)
     near = [lam for lam in target.eigenvalues() if cut / _GUARD <= lam <= _GUARD * cut]
     if near:
-        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test=range_test,
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
                           refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
                                   f"the rank cut {cut:.3e}")
     component_pencil = spectral_pencil(component, side, tol)
@@ -255,8 +264,8 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         for point in points:
             cert = _certificate_at(point, target_pencil, component_pencil, side, kk, tol)
             if cert is not None:
-                return MixVerdict("INFEASIBLE", cert, all_stats, range_test)
-    return MixVerdict("NO_OBSTRUCTION_FOUND", stats=all_stats, range_test=range_test)
+                return MixVerdict("INFEASIBLE", range_test, cert, all_stats)
+    return MixVerdict("NO_OBSTRUCTION_FOUND", range_test, stats=all_stats)
 
 
 @dataclass(frozen=True)
@@ -321,10 +330,9 @@ def check_ensemble_schmidt(schmidt_number_lower_bound: int, e: Ensemble,
 
 
 def generic_empty_predicate(q: GenericityQuery) -> bool:
-    """(m - t)(r - t) >= m: generic rank-r states have an empty rank-t locus."""
-    if not 0 <= q.t < min(q.m, q.r):
-        raise ParameterOutOfRange(f"t={q.t} outside [0, min(m, r))")
-    return (q.m - q.t) * (q.r - q.t) >= q.m
+    """The codimension exceeds dim CP^{m-1} = m - 1, so generic rank-r states
+    have an empty rank-t locus on side A."""
+    return q.codimension >= q.m
 
 
 def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConfig(),
@@ -334,8 +342,6 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
     Per-trial seeds derive from (master seed, trial index), so results do not
     depend on execution order.
     """
-    predicate = generic_empty_predicate(q)
-    codim = (q.m - q.t) * (q.r - q.t)
     shape = BipartiteShape(q.m, q.n)
     pencils = (spectral_pencil(random_density(shape, q.r, seed=[q.seed, trial]), "A", tol)
                for trial in range(q.trials))
@@ -349,5 +355,5 @@ def monte_carlo_genericity(q: GenericityQuery, config: SearchConfig = SearchConf
         arr = np.asarray(residuals)
         summary = {"min": float(arr.min()), "median": float(np.median(arr)),
                    "max": float(arr.max())}
-    return GenericityReport(predicate, codim, fraction, tuple(residuals), summary,
-                            tuple(witnesses))
+    return GenericityReport(generic_empty_predicate(q), q.codimension, fraction,
+                            tuple(residuals), summary, tuple(witnesses))

@@ -38,7 +38,8 @@ class ToleranceConfig:
 
     def threshold_from_sigma(self, sigma_max, rows: int, cols: int):
         """The threshold for a largest singular value, or elementwise for an array of them."""
-        return np.maximum(self.rank_rel_tol * sigma_max * max(rows, cols), self.abs_floor)
+        with np.errstate(over="ignore"):  # a cut that overflows is inf, which support refuses
+            return np.maximum(self.rank_rel_tol * sigma_max * max(rows, cols), self.abs_floor)
 
     def rank(self, s: np.ndarray, rows: int, cols: int) -> int:
         """Number of the singular values s (nonincreasing) of a rows x cols

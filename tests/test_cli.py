@@ -419,6 +419,10 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("--tol-rank", "-1", "bounds", "--state", fixture("bell.json")),
     ("--tol-floor", "nan", "bounds", "--state", fixture("bell.json")),
     ("--tol-rank", "inf", "bounds", "--state", fixture("bell.json")),
+    # a rank cut that overflows to inf is refused, not warned about
+    ("--tol-rank", "1e308", "bounds", "--state", fixture("example3.json")),
+    ("--tol-rank", "1e308", "genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "1",
+     "--trials", "1"),
     ("locus", "--state", fixture("example4.json"), "--k", "2", "--starts", "-1"),
     ("genericity", "--m", "3", "--n", "3", "--r", "3", "--t", "2", "--starts", "0"),
     ("check-mix", "--target", fixture("example2_target.json"),
@@ -447,6 +451,7 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("--seed", "-3", "majorize", "--p", "0.25,0.25,0.25,0.25",
      "--target", fixture("maximally_mixed_2x2.json")),
     ("genericity", "--m", "6", "--n", "6", "--r", "12", "--t", "0", "--trials", "10000"),
+    ("genericity", "--m", "4", "--n", "2", "--r", "4", "--t", "2"),  # t reaches n
     # --p is Theorem 1's check: Theorem 2's arguments are refused, not ignored
     ("majorize", "--p", "0.5,0.5", "--target", fixture("bell.json"), "--components",
      fixture("bell.json"), "--weights", "1", "--reduced"),
@@ -457,13 +462,15 @@ def test_any_json_document_loads_or_raises_state_file_error(doc):
     ("majorize", "--p", "0.5,abc", "--target", fixture("maximally_mixed_2x2.json")),
     ("majorize", "--p", "1"),
     ("majorize", "--target", fixture("maximally_mixed_2x2.json")),
-], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "locus_starts_negative",
+], ids=["tol_rank_negative", "tol_floor_nan", "tol_rank_inf", "bounds_cut_overflows",
+        "genericity_cut_overflows", "locus_starts_negative",
         "genericity_starts_zero", "check_mix_k_word", "check_mix_k_fraction", "p_nan",
         "p_overflowing_sum", "weights_nan", "locus_seed_negative", "genericity_seed_negative",
         "check_mix_cut_above_spectrum", "bounds_cut_above_spectrum",
         "genericity_cut_above_spectrum", "locus_k0_cut_above_spectrum",
         "locus_k1_cut_above_spectrum", "locus_k0_starts_zero", "locus_k0_seed_negative",
         "bounds_seed_negative", "majorize_seed_negative", "genericity_trials_above_cap",
+        "genericity_t_reaches_n",
         "p_with_theorem2_arguments", "p_with_components", "p_with_weights", "p_with_reduced",
         "p_malformed", "p_without_target", "target_without_components"])
 def test_out_of_range_setting_exits_2(args):
@@ -479,7 +486,7 @@ FIXTURE_PATHS = [str(fixture(name)) for name in (
     "example1.json", "example2_target.json", "example2_component.json", "example4.json",
     "bell.json", "maximally_mixed_2x2.json")]
 INT_TOKENS = ["-1", "0", "1", "2", "3"]
-ARGV_TOKENS = INT_TOKENS + ["0.5", "1e300", "nan", "inf", "all", "A", "B", "0.5,0.5",
+ARGV_TOKENS = INT_TOKENS + ["0.5", "1e300", "1e308", "nan", "inf", "all", "A", "B", "0.5,0.5",
                             *FIXTURE_PATHS]
 # each flag's likely values, so that most requests get past the parser
 FLAG_TOKENS = {

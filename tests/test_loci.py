@@ -412,6 +412,15 @@ def test_hit_reduction_matches_the_pairwise_rule(monkeypatch):
             [q.coords.tolist() for q, _ in pairwise_points(hits, f)]
 
 
+def assert_same_sample(sample, reference):
+    """Bit-equal samples: points, residuals, search_stats and min_residual_seen."""
+    assert [q.coords.tolist() for q in sample.points] == \
+        [q.coords.tolist() for q in reference.points]
+    assert sample.residuals == reference.residuals and sample.trivial == reference.trivial
+    assert sample.search_stats == reference.search_stats
+    assert sample.min_residual_seen == reference.min_residual_seen
+
+
 def test_searches_batched_together_equal_searches_alone(monkeypatch):
     # pencils of three block shapes, two trivial ones (rank 2 < k + 1, and
     # zero), with and without stop_at_first
@@ -427,14 +436,42 @@ def test_searches_batched_together_equal_searches_alone(monkeypatch):
         batched = loci._sample_loci(pencils, 2, config, TOL)
         assert rows == [48, 32, 16]  # one batch per block shape: rank 3, rank 4, example4
         for i, (p, sample) in enumerate(zip(pencils, batched)):
-            alone = sample_locus(p, 2, replace(config, seed=i), TOL)
-            assert [q.coords.tolist() for q in sample.points] == \
-                [q.coords.tolist() for q in alone.points]
-            assert sample.residuals == alone.residuals and sample.trivial == alone.trivial
-            assert sample.search_stats == alone.search_stats
-            assert sample.min_residual_seen == alone.min_residual_seen
+            assert_same_sample(sample, sample_locus(p, 2, replace(config, seed=i), TOL))
         assert batched[3].trivial and batched[7].trivial
         assert any(len(s.points) > 1 for s in batched) != stop_at_first
+
+
+def cut_at_first_hit(p, k, config):
+    """The stop_at_first reference: every start of config run to its own stop,
+    then the starts after the lowest-index hit dropped, with reason "" and 0
+    rounds.  Also whether some start still ran when a later start hit."""
+    R0 = drawn_starts(p, config)
+    r, f, reason, rounds = descend(p, k, R0, replace(config, stop_at_first=False))
+    hits = np.flatnonzero(reason == "hit")
+    interleaved = any(rounds[:h].max(initial=0) > rounds[h] for h in hits)
+    if hits.size:
+        reason[hits[0] + 1:], rounds[hits[0] + 1:] = "", 0
+    return loci._sample(r, f, reason, rounds, config.starts), interleaved
+
+
+def test_stop_at_first_drops_the_starts_after_the_lowest_hit():
+    # batched stop_at_first searches equal the rule applied after every start
+    # ran to its stop, on pencils with and without hits
+    cases = [(genericity_pencil(m, r, trial), k)
+             for m, r, k in ((3, 3, 2), (3, 4, 1), (4, 4, 2), (4, 5, 2)) for trial in (0, 1)]
+    cases += [(pencil_of("example4.json"), k) for k in (1, 2)]
+    interleaved = 0
+    for starts in (1, 5, 16):
+        for seed in (0, 7):
+            config = SearchConfig(starts=starts, seed=seed, stop_at_first=True)
+            for k in (1, 2):
+                pencils = [p for p, kk in cases if kk == k]
+                samples = loci._sample_loci(pencils, k, config, TOL)
+                for i, (p, sample) in enumerate(zip(pencils, samples)):
+                    reference, late = cut_at_first_hit(p, k, replace(config, seed=seed + i))
+                    assert_same_sample(sample, reference)
+                    interleaved += late
+    assert interleaved  # some start ran on after a later start hit
 
 
 def test_a_stream_of_pencils_is_read_once(monkeypatch):
@@ -454,11 +491,7 @@ def test_a_stream_of_pencils_is_read_once(monkeypatch):
     assert rows == [8, 16, 8]  # the rank-4 search alone, the first two rank-3 ones, the last
     assert len(streamed) == len(pencils) and streamed[2].trivial and streamed[5].trivial
     for sample, reference in zip(streamed, listed):
-        assert [q.coords.tolist() for q in sample.points] == \
-            [q.coords.tolist() for q in reference.points]
-        assert sample.residuals == reference.residuals and sample.trivial == reference.trivial
-        assert sample.search_stats == reference.search_stats
-        assert sample.min_residual_seen == reference.min_residual_seen
+        assert_same_sample(sample, reference)
     for k in (0, 2):
         streamed = loci._loci_empty((p for p in pencils), k, config, TOL)
         listed = loci._loci_empty(pencils, k, config, TOL)

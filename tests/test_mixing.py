@@ -341,6 +341,10 @@ def test_generic_empty_predicate():
         generic_empty_predicate(GenericityQuery(3, 3, 2, 2, 0))
     with pytest.raises(ParameterOutOfRange):
         GenericityQuery(3, 3, 3, 2, 1, seed=-1)
+    # side A's pencil is n x r: t runs below min(n, r), whatever m
+    assert GenericityQuery(2, 4, 4, 2, 0).codimension == 4
+    with pytest.raises(ParameterOutOfRange):
+        GenericityQuery(4, 2, 4, 2, 0)
 
 
 def test_genericity_query_caps_trials():
@@ -379,10 +383,19 @@ def test_genericity_memory_is_flat_in_trials(t, monkeypatch):
 def test_generic_empty_predicate_quadratic_identity():
     for m in range(1, 13):
         for r in range(1, 13):
-            for t in range(0, min(m, r)):
-                expected = t * t - (m + r) * t + m * r - m >= 0
-                assert generic_empty_predicate(GenericityQuery(m, max(m, r), r, t, 0)) \
-                    == expected
+            n = max(m, r)
+            for t in range(0, min(n, r)):
+                expected = t * t - (n + r) * t + n * r - m >= 0
+                assert generic_empty_predicate(GenericityQuery(m, n, r, t, 0)) == expected
+
+
+@pytest.mark.parametrize("m, n, r, t", [(3, 2, 3, 1), (4, 3, 4, 2), (5, 3, 3, 1), (3, 4, 4, 2),
+                                        (2, 3, 3, 1)])
+def test_generic_empty_predicate_agrees_with_the_trials_on_non_square_shapes(m, n, r, t):
+    # the trials find the locus on every state or on none, as the predicate says
+    report = monte_carlo_genericity(GenericityQuery(m, n, r, t, 20, seed=0),
+                                    SearchConfig(starts=16, seed=0, stop_at_first=True), TOL)
+    assert report.nonempty_fraction == (0.0 if report.predicate_holds else 1.0)
 
 
 def test_monte_carlo_genericity_small():

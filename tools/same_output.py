@@ -42,8 +42,8 @@ def requests() -> list[list[str]]:
     range-contained path), bounds on every fixture, a Theorem-1 and a
     Theorem-2 majorization, the matrix-form fixture's loci and, at a rank cut
     above its every eigenvalue, its majorization and bounds, seeded
-    genericity trials, then genericity requests that fit one kernel batch and
-    the MULTI_BATCH ones."""
+    genericity trials, then genericity requests that fit one kernel batch,
+    non-square ones included, and the MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -76,6 +76,11 @@ def requests() -> list[list[str]]:
                    "--starts", "1366"],
                   ["--m", "5", "--n", "5", "--r", "9", "--t", "2", "--trials", "60"],
                   ["--m", "6", "--n", "6", "--r", "12", "--t", "3", "--trials", "30"],
+                  # non-square: side A's pencil is n x r on CP^{m-1}, so n and m enter apart
+                  *(["--m", m, "--n", n, "--r", r, "--t", t, "--trials", "40"]
+                    for m, n, r, t in (("3", "2", "3", "1"), ("4", "3", "4", "2"),
+                                       ("5", "3", "3", "1"), ("3", "4", "4", "2"),
+                                       ("2", "3", "3", "1"))),
                   *MULTI_BATCH):
         reqs.append(["genericity", *extra])
     return reqs
