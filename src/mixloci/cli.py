@@ -143,15 +143,7 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
               "side": args.side, "k": args.k}
     if verdict.status == "INFEASIBLE":
         cert = verdict.certificate
-        data = {
-            "witness": complex_to_pairs(cert.witness.coords),
-            "side": cert.side,
-            "k": cert.k,
-            "rank_in_target": cert.rank_in_target,
-            "rank_in_component": cert.rank_in_component,
-            "residual_target": cert.residual_target,
-            "residual_component": cert.residual_component,
-        }
+        data = {**asdict(cert), "witness": complex_to_pairs(cert.witness.coords)}
         human = (f"INFEASIBLE: witness {np.round(cert.witness.coords, 6).tolist()} "
                  f"(k={cert.k}) has rank {cert.rank_in_target} in target but "
                  f"{cert.rank_in_component} in component")

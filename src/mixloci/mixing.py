@@ -56,9 +56,10 @@ class RangeContainment:
 
 @dataclass(frozen=True)
 class MixVerdict:
-    """Every verdict carries the range test, which runs first.  `refused` says
-    why no scan ran although the range test did not prove containment; it is
-    None whenever the scan ran or containment was proven."""
+    """Every verdict carries the range test, which runs first.  `stats` holds
+    one entry per k scanned.  `refused` says why no scan ran although the range
+    test did not prove containment; it is None whenever the scan ran or
+    containment was proven."""
 
     status: Literal["INFEASIBLE", "NO_OBSTRUCTION_FOUND"]
     range_test: RangeContainment
@@ -178,8 +179,7 @@ def _certificate_at(point: ProjectivePoint, target_pencil: Pencil, component_pen
     sc = singular_values(Mc)
     cut_t = tol.threshold_from_sigma(st[0], *Mt.shape)
     cut_c = tol.threshold_from_sigma(sc[0], *Mc.shape)
-    res_t = st[k] if k < st.size else 0.0
-    res_c = sc[k] if k < sc.size else 0.0
+    res_t, res_c = st[k], sc[k]  # k is below both pencils' block bounds
     if res_t > cut_t / _GUARD:
         return None
     if res_c < _GUARD * cut_c:
@@ -202,7 +202,7 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
     sample = sample_locus(pencil, k, config, tol)
     stats = dict(sample.search_stats)
     stats.update(mode="sampled", found=len(sample.points),
-                 min_residual=sample.min_residual_seen, trivial=sample.trivial)
+                 min_residual=sample.min_residual_seen)
     return list(sample.points), stats
 
 
@@ -232,13 +232,16 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
 
     Such a point certifies that no positive weights and no further components
     can make `component` appear in any mixture equal to `target`.  k stops
-    below the target pencil's block size; with k=None every such k is scanned,
-    cheapest (exact k=0) first.  A NO_OBSTRUCTION_FOUND verdict is a
-    semidecision, not a feasibility proof.  When range(component) lies in
-    range(target), V^k(target) lies in every V^k(component), so no scan can
-    certify and none runs.  Nor does one run when a target eigenvalue lies
-    within the guard band of the rank cut: a component there may be cut out of
-    the target's pencil, and a certificate against it would be false.
+    below the target pencil's block bound (InvalidK beyond).  At k at or above
+    the component pencil's block bound every point lies in V^k(component), so
+    no certificate exists there: k=None scans every k below both bounds,
+    cheapest (exact k=0) first, and an explicit such k runs no scan and is
+    refused.  A NO_OBSTRUCTION_FOUND verdict is a semidecision, not a
+    feasibility proof.  When range(component) lies in range(target), V^k(target)
+    lies in every V^k(component), so no scan can certify and none runs.  Nor
+    does one run when a target eigenvalue lies within the guard band of the
+    rank cut: a component there may be cut out of the target's pencil, and a
+    certificate against it would be false.
     """
     if target.shape != component.shape:
         raise ShapeMismatch("target and component shapes differ")
@@ -246,7 +249,6 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     max_k = target_pencil.max_rank_bound()
     if k is not None and not 0 <= k < max_k:
         raise InvalidK(f"k={k} outside [0, {max_k})")
-    ks = range(max_k) if k is None else [k]
     range_test = range_containment(target, component, tol)
     if range_test.contained:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test)
@@ -257,8 +259,13 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
                           refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
                                   f"the rank cut {cut:.3e}")
     component_pencil = spectral_pencil(component, side, tol)
+    bound = component_pencil.max_rank_bound()
+    if k is not None and k >= bound:
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
+                          refused=f"k={k} reaches the component pencil's block bound {bound}, "
+                                  "so every point lies in its V^k")
     all_stats = {}
-    for kk in ks:
+    for kk in (range(min(max_k, bound)) if k is None else [k]):
         points, stats = _locus_candidates(target_pencil, kk, config, tol)
         all_stats[kk] = stats
         for point in points:

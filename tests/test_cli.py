@@ -106,6 +106,17 @@ def test_check_mix_refuses_at_the_eigenvalue_cut(tmp_path):
     assert "no locus scan" in run_cli(*args).stdout
 
 
+def test_check_mix_refuses_at_the_component_bound():
+    # bell's side-A pencil is 2 x 1, so every point of CP^1 lies in its V^1
+    args = ("check-mix", "--target", fixture("example1.json"), "--component",
+            fixture("bell.json"), "--k", "1")
+    doc = json.loads(run_cli("--json", *args).stdout)
+    assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
+    assert doc["data"]["range"]["contained"] is False
+    assert "k=1 reaches the component pencil's block bound 1" in doc["data"]["refused"]
+    assert "no locus scan" in run_cli(*args).stdout
+
+
 def test_bounds_examples():
     doc = json.loads(run_cli("--json", "bounds", "--state", fixture("example1.json")).stdout)
     assert doc["data"]["schmidt_rank_cap"] == 1
@@ -551,6 +562,11 @@ def test_any_argv_exits_0_or_2_without_a_traceback(argv):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+            code, lines = exc.code, None
+        else:  # main's own exit: silent when it completes, one error line when it refuses
+            lines = err.getvalue().splitlines()
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if lines is not None:
+        assert (lines == [] if code == 0
+                else len(lines) == 1 and lines[0].startswith("error: ")), (argv, err.getvalue())

@@ -15,9 +15,9 @@ from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceCo
                      forces_separable, generic_empty_predicate, hermitian_form, majorizes,
                      make_ensemble, make_pure, mix, monte_carlo_genericity,
                      pencil_from_ensemble, random_density, random_pure, schmidt_rank_cap)
-from mixloci import is_locus_empty, loci
+from mixloci import is_locus_empty, loci, mixing
 from mixloci.errors import InvalidK, ParameterOutOfRange
-from mixloci.loci import SearchConfig, locus_zero, rank_at
+from mixloci.loci import SearchConfig, locus_zero, rank_at, spectral_pencil
 from mixloci.numeric import numerical_rank
 
 from conftest import load_fixture
@@ -229,6 +229,61 @@ def test_check_component_necessary_errors():
     rho = random_density(BipartiteShape(3, 3), 2, seed=1)  # rank 2: blocks 3 x 2
     with pytest.raises(InvalidK):
         check_component_necessary(rho, rho, "A", 2, CONFIG, TOL)
+
+
+def reference_scan(target, component, side):
+    """check_component_necessary's k=None scan over every k below the target
+    pencil's block bound.  At k at or above the component pencil's it checks
+    that every candidate lies in V^k(component), where no certificate exists."""
+    target_pencil, component_pencil = (spectral_pencil(s, side, TOL) for s in (target, component))
+    bound = component_pencil.max_rank_bound()
+    for k in range(target_pencil.max_rank_bound()):
+        for point in mixing._locus_candidates(target_pencil, k, CONFIG, TOL)[0]:
+            if k >= bound:
+                assert rank_at(component_pencil, point, TOL) <= k
+                continue
+            cert = mixing._certificate_at(point, target_pencil, component_pencil, side, k, TOL)
+            if cert is not None:
+                return "INFEASIBLE", cert
+    return "NO_OBSTRUCTION_FOUND", None
+
+
+def test_scan_stops_below_the_component_pencils_block_bound(monkeypatch):
+    searched = []  # the k of every sample_locus call
+    sample_locus = mixing.sample_locus
+    monkeypatch.setattr(mixing, "sample_locus",
+                        lambda p, k, *args: searched.append(k) or sample_locus(p, k, *args))
+    statuses = set()
+    for shape in (S33, BipartiteShape(4, 4)):
+        # target pencils of block bound 2, 3 and m: below, at and above the components'
+        for target_rank in (2, 3, shape.m + 2):
+            target = random_density(shape, target_rank, seed=[20, shape.m, target_rank])
+            for rank in (1, 2, 3):
+                component = random_density(shape, rank, seed=[21, shape.m, target_rank, rank])
+                for side in ("A", "B"):
+                    max_k = spectral_pencil(target, side, TOL).max_rank_bound()
+                    bound = spectral_pencil(component, side, TOL).max_rank_bound()
+                    searched.clear()
+                    verdict = check_component_necessary(target, component, side, None,
+                                                        CONFIG, TOL)
+                    assert not verdict.range_test.contained and verdict.refused is None
+                    assert searched == [k for k in verdict.stats if k > 0]
+                    assert all(k < min(max_k, bound) for k in searched)
+                    status, cert = reference_scan(target, component, side)
+                    assert verdict.status == status
+                    statuses.add(status)
+                    if cert is not None:
+                        mine = verdict.certificate
+                        assert mine.witness.coords.tobytes() == cert.witness.coords.tobytes()
+                        assert replace(mine, witness=None) == replace(cert, witness=None)
+                    for k in range(bound, max_k):  # an explicit k the component reaches
+                        searched.clear()
+                        verdict = check_component_necessary(target, component, side, k,
+                                                            CONFIG, TOL)
+                        assert verdict.status == "NO_OBSTRUCTION_FOUND" and verdict.stats == {}
+                        assert searched == [] and verdict.refused.startswith(
+                            f"k={k} reaches the component pencil's block bound {bound}")
+    assert statuses == {"INFEASIBLE", "NO_OBSTRUCTION_FOUND"}
 
 
 def test_certificate_reverifies_from_scratch():

@@ -38,12 +38,13 @@ MULTI_BATCH = (
 
 def requests() -> list[list[str]]:
     """argv lists after `--json`: the searches on the fixtures, the mixture
-    checks on example2 both ways and of example2_target against itself (the
-    range-contained path), bounds on every fixture, a Theorem-1 and a
-    Theorem-2 majorization, the matrix-form fixture's loci and, at a rank cut
-    above its every eigenvalue, its majorization and bounds, seeded
-    genericity trials, then genericity requests that fit one kernel batch,
-    non-square ones included, and the MULTI_BATCH ones."""
+    checks on example2 both ways, of example2_target against itself (the
+    range-contained path) and of bell in example1 (a component whose pencil's
+    block bound, 1, is below the target's), bounds on every fixture, a
+    Theorem-1 and a Theorem-2 majorization, the matrix-form fixture's loci
+    and, at a rank cut above its every eigenvalue, its majorization and
+    bounds, seeded genericity trials, then genericity requests that fit one
+    kernel batch, non-square ones included, and the MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -57,6 +58,9 @@ def requests() -> list[list[str]]:
         for k in ("all", "2", "1"):
             reqs.append(["check-mix", "--target", target, "--component", component, "--k", k])
     reqs.append(["check-mix", "--target", pair[0], "--component", pair[0]])
+    bell = ["check-mix", "--target", _fixture("example1.json"),
+            "--component", _fixture("bell.json")]
+    reqs += [[*bell, "--k", "all"], [*bell, "--k", "1"], [*bell, "--side", "B", "--k", "1"]]
     reqs += [["bounds", "--state", str(path)] for path in sorted(FIXTURES.glob("*.json"))]
     reqs.append(["majorize", "--p", "0.25,0.25,0.25,0.25",
                  "--target", _fixture("maximally_mixed_2x2.json")])
