@@ -1,12 +1,11 @@
 """Degeneracy loci of bipartite mixed states and mixing obstructions."""
 
-from .errors import (DimensionMismatch, InvalidK, MixLociError, NotHermitian,
-                     NotOnLocus, NotSquare, ParameterOutOfRange, RankOutOfRange,
-                     ShapeMismatch, WeightSumInvalid, ZeroVector)
+from .errors import (DimensionMismatch, InvalidK, MixLociError, NotHermitian, NotSquare,
+                     ParameterOutOfRange, RankOutOfRange, ShapeMismatch, WeightSumInvalid,
+                     ZeroVector)
 from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoint,
-                   SearchConfig, hermitian_form, in_locus, is_locus_empty,
-                   local_dimension, locus_zero, pencil_from_ensemble, rank_at,
-                   sample_locus, spectral_pencil)
+                   SearchConfig, hermitian_form, in_locus, is_locus_empty, locus_zero,
+                   pencil_from_ensemble, rank_at, sample_locus, spectral_pencil)
 from .mixing import (GenericityQuery, GenericityReport, MixCertificate, MixVerdict,
                      RangeContainment, ZeroLoci, check_component_necessary,
                      check_ensemble_schmidt, check_mixed_mix_eigen, check_pure_mix_eigen,

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidK, MixLociError, ParameterOutOfRange
-from .io import complex_to_pairs, file_sha256, load_state
+from .io import complex_to_pairs, load_state
 from .loci import SearchConfig, locus_zero, sample_locus, spectral_pencil
 from .mixing import (GenericityQuery, ZeroLoci, check_component_necessary,
                      check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
@@ -99,8 +99,9 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_locus(args, tol: ToleranceConfig) -> int:
-    pencil = spectral_pencil(load_state(args.state).density, args.side, tol)
-    inputs = {"state": file_sha256(args.state), "side": args.side, "k": args.k}
+    state = load_state(args.state)
+    pencil = spectral_pencil(state.density, args.side, tol)
+    inputs = {"state": state.sha256, "side": args.side, "k": args.k}
     config = SearchConfig(starts=args.starts, seed=args.seed)  # checked for k = 0 too
     if args.k == 0:
         locus = locus_zero(pencil, tol)
@@ -139,7 +140,7 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
     config = SearchConfig(starts=args.starts, seed=args.seed)
     verdict = check_component_necessary(target.density, component.density,
                                         side=args.side, k=k, config=config, tol=tol)
-    inputs = {"target": file_sha256(args.target), "component": file_sha256(args.component),
+    inputs = {"target": target.sha256, "component": component.sha256,
               "side": args.side, "k": args.k}
     if verdict.status == "INFEASIBLE":
         cert = verdict.certificate
@@ -163,7 +164,8 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_bounds(args, tol: ToleranceConfig) -> int:
-    loci = ZeroLoci.of(load_state(args.state).density, tol)
+    state = load_state(args.state)
+    loci = ZeroLoci.of(state.density, tol)
     data = {
         "dim_V_A_0": loci.dim_a,
         "dim_V_B_0": loci.dim_b,
@@ -173,7 +175,7 @@ def _cmd_bounds(args, tol: ToleranceConfig) -> int:
         "forces_separable": loci.forces_separable,
         "excludes_max_schmidt_rank": loci.excludes_max_schmidt_rank,
     }
-    inputs = {"state": file_sha256(args.state)}
+    inputs = {"state": state.sha256}
     human = (f"schmidt_rank_cap={loci.schmidt_rank_cap} "
              f"(side A {loci.cap_a}, side B {loci.cap_b}), "
              f"forces_separable={loci.forces_separable}, "
@@ -191,7 +193,7 @@ def _cmd_majorize(args, tol: ToleranceConfig) -> int:
         probs = _parse_floats(args.p)
         target = load_state(args.target)
         ok = check_pure_mix_eigen(target.density, probs)
-        inputs = {"target": file_sha256(args.target), "p": probs}
+        inputs = {"target": target.sha256, "p": probs}
         data = {"pure_decomposition_possible": ok,
                 "spectrum": list(map(float, target.density.eigenvalues()))}
         return _emit(args, _report(args, "majorize", inputs, "PASS" if ok else "FAIL", data),
@@ -208,8 +210,7 @@ def _cmd_majorize(args, tol: ToleranceConfig) -> int:
                                                [c.density for c in components])
         data["reduced_constraint"] = reduced_ok
         ok = ok and reduced_ok
-    inputs = {"target": file_sha256(args.target),
-              "components": [file_sha256(f) for f in args.components],
+    inputs = {"target": target.sha256, "components": [c.sha256 for c in components],
               "weights": weights}
     return _emit(args, _report(args, "majorize", inputs, "PASS" if ok else "FAIL", data),
                  f"Theorem-2 check: {'pass' if ok else 'fail'} ({data})")

@@ -37,9 +37,5 @@ class InvalidK(MixLociError):
     pass
 
 
-class NotOnLocus(MixLociError):
-    pass
-
-
 class ParameterOutOfRange(MixLociError):
     pass

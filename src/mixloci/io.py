@@ -6,6 +6,7 @@ State files are UTF-8 JSON with "m", "n" and exactly one of "ensemble" or
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass
@@ -18,8 +19,7 @@ from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
                      density_from_ensemble, density_matrix_from_array, make_ensemble,
                      make_pure)
 
-__all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs",
-           "pairs_to_complex", "file_sha256"]
+__all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs", "pairs_to_complex"]
 
 
 # largest magnitude of a number in a state file: its square, summed over
@@ -33,11 +33,13 @@ class StateFileError(MixLociError):
 
 @dataclass(frozen=True)
 class LoadedState:
-    """A state file's density matrix and the ensemble it lists (None for a
-    matrix-form file); a command's pencil is loci.spectral_pencil(density)."""
+    """A state file's density matrix, the ensemble it lists (None for a
+    matrix-form file) and the SHA-256 hex digest of the bytes parsed; a
+    command's pencil is loci.spectral_pencil(density)."""
 
     density: DensityMatrix
     ensemble: Ensemble | None
+    sha256: str
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
@@ -59,18 +61,32 @@ def complex_to_pairs(values) -> list[list[float]]:
 
 
 def file_sha256(path) -> str:
+    """SHA-256 hex digest of a file; no command calls it, perfbench/tracing.py wraps it."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_state(path) -> LoadedState:
-    """Parse and validate a state file, applying no rank cut.
+    """Parse and validate a state file, read once, applying no rank cut.
 
-    Every malformed document raises StateFileError.
-    """
+    Every malformed document raises StateFileError.  The collector pauses
+    meanwhile: the parsed lists hold no cycles, and sweeps only age them."""
+    if gc.isenabled():
+        gc.disable()
+        try:
+            return _load_state(path)
+        finally:
+            gc.enable()
+    return _load_state(path)
+
+
+def _load_state(path) -> LoadedState:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        # newlines translated as text mode does, so a JSON error names that text's line
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
     if not isinstance(doc, dict):
         raise StateFileError("state file root must be a JSON object")
     m, n = doc.get("m"), doc.get("n")
@@ -107,7 +123,7 @@ def load_state(path) -> LoadedState:
             ensemble = make_ensemble(shape, members)
             if not normalize and ensemble.normalized:
                 raise StateFileError("weights do not sum to 1 with normalize=false")
-            return LoadedState(density_from_ensemble(ensemble), ensemble)
+            return LoadedState(density_from_ensemble(ensemble), ensemble, digest)
         entries = pairs_to_complex(doc["matrix"], "matrix")
         if entries.size != shape.dim ** 2:
             raise StateFileError(
@@ -121,6 +137,6 @@ def load_state(path) -> LoadedState:
             if not np.abs(matrix).max() <= _MAX_MAGNITUDE:  # a tiny trace scales entries up
                 raise StateFileError(
                     f"matrix entries exceed {_MAX_MAGNITUDE:g} once divided by the trace")
-        return LoadedState(density_matrix_from_array(matrix, shape), None)
+        return LoadedState(density_matrix_from_array(matrix, shape), None, digest)
     except (ShapeMismatch, NotHermitian, ZeroVector, WeightSumInvalid) as exc:
         raise StateFileError(str(exc)) from exc

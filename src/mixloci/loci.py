@@ -13,13 +13,13 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidK, NotOnLocus, ParameterOutOfRange
+from .errors import DimensionMismatch, InvalidK, ParameterOutOfRange
 from .numeric import ToleranceConfig, null_space, numerical_rank
 from .states import DensityMatrix, Ensemble, Side, support
 
 __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
            "LocusVerdict", "pencil_from_ensemble", "spectral_pencil", "hermitian_form", "rank_at",
-           "in_locus", "locus_zero", "sample_locus", "local_dimension", "is_locus_empty"]
+           "in_locus", "locus_zero", "sample_locus", "is_locus_empty"]
 
 _POINT_TOL = 1e-9
 
@@ -475,21 +475,6 @@ def sample_locus(p: Pencil, k: int, config: SearchConfig = SearchConfig(),
     An empty point list is a failure to find, not a proof of emptiness.
     """
     return _sample_loci([p], k, config, tol)[0]
-
-
-def local_dimension(p: Pencil, k: int, point: ProjectivePoint,
-                    tol: ToleranceConfig = ToleranceConfig()) -> int:
-    """Estimated projective dimension of the rank-k locus at a member point:
-    ambient - 1 - rank(J), J the normal map, whose null space (holding r) is
-    the tangent space where M has rank k.  Below rank k every (k+1)-minor
-    vanishes to second order, so the estimate is the bound ambient - 1."""
-    if not in_locus(p, k, point, tol):
-        raise NotOnLocus("point is not on the requested locus")
-    U, s, Vh = _pencil_svd(p.blocks[None], [0], point.coords[None])
-    if tol.rank(s[0], *p.block_shape) < k:
-        return p.ambient_dim - 1
-    J = _normal_map(p.blocks[None], [0], U, Vh, k)[0]
-    return p.ambient_dim - 1 - numerical_rank(J, tol)
 
 
 def is_locus_empty(p: Pencil, k: int, config: SearchConfig = SearchConfig(),

@@ -239,6 +239,8 @@ def random_density(shape: BipartiteShape, rank: int, seed) -> DensityMatrix:
         weights = rng.dirichlet(np.ones(rank))
         if weights.min() < 1e-6:
             continue
-        members = [(float(w), PureState(shape, Q[:, l].copy())) for l, w in enumerate(weights)]
-        return density_from_ensemble(make_ensemble(shape, members))
+        # density_from_ensemble's sum, term for term: weights summing to 1
+        # within a few ulps are never rescaled
+        matrix = sum(float(w) * np.outer(Q[:, l], Q[:, l].conj()) for l, w in enumerate(weights))
+        return density_matrix_from_array(matrix, shape)
     raise RuntimeError("failed to draw a nondegenerate rank-r state")

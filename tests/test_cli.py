@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +319,75 @@ def test_bounds_decomposes_the_state_once(monkeypatch, capsys):
     # SVD per side
     assert calls["eigh"] <= 1 and calls["eigvalsh"] == 0 and calls["svd"] <= 2
 
+
+def test_each_state_file_is_read_once_and_its_digest_reported(monkeypatch, capsys):
+    from mixloci.cli import main
+    target, component = fixture("example1.json"), fixture("bell.json")
+    mixture = fixture("maximally_mixed_2x2.json")
+    digest = {path: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in (target, component, mixture)}
+    reads = Counter()
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            reads[Path(self)] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(Path, name, counted)
+    for argv, inputs in (
+            (["check-mix", "--target", target, "--component", component, "--k", "1"],
+             {"target": digest[target], "component": digest[component]}),
+            (["majorize", "--target", target, "--components", component, mixture,
+              "--weights", "0.5,0.5"],
+             {"target": digest[target], "components": [digest[component], digest[mixture]]})):
+        reads.clear()
+        assert main(["--json", *map(str, argv)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {key: report["inputs"][key] for key in inputs} == inputs
+        assert reads == Counter(path for path in argv if isinstance(path, Path))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_state_file_json_errors_are_those_of_its_text(tmp_path, newline):
+    # a JSON error names the line and character of the text as text mode
+    # reads it, newlines translated
+    path = tmp_path / "trailing_comma.json"
+    path.write_bytes(newline.join(['{"m": 2,', ' "n": 2,', '}']).encode())
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(StateFileError) as raised:
+        load_state(path)
+    assert str(raised.value) == f"cannot read state file {path}: {expected.value}"
+
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_load_state_runs_no_collection_and_leaves_the_collector_as_it_was(tmp_path, enabled):
+    # a 6x6 matrix file parses to 1297 lists, past the collector's first
+    # threshold; none of them is swept while it lives, and a failed load too
+    # leaves the collector on or off as it found it
+    path, bad = tmp_path / "rho.json", tmp_path / "bad.json"
+    rho = random_density(BipartiteShape(6, 6), 36, seed=0)
+    path.write_text(json.dumps({"m": 6, "n": 6, "matrix": complex_to_pairs(rho.matrix)}))
+    bad.write_text('{"m": 2,')
+    sweeps = []
+
+    def record(phase, info):
+        sweeps.append((phase, info["generation"]))
+    gc.collect()  # counts start at zero, so only the loads could reach a threshold
+    gc.callbacks.append(record)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for _ in range(3):
+            assert load_state(path).density.shape.dim == 36
+            assert gc.isenabled() == enabled
+        with pytest.raises(StateFileError):
+            load_state(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable()
+    assert sweeps == []
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     from mixloci import cli

@@ -2,19 +2,18 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixloci import (BipartiteShape, DimensionMismatch, GenericityQuery, NotOnLocus,
-                     ParameterOutOfRange, ToleranceConfig, check_component_necessary,
-                     density_from_ensemble, eigen_ensemble, hermitian_form, in_locus,
-                     is_locus_empty, local_dimension, locus_zero, make_ensemble, make_pure, mix,
-                     monte_carlo_genericity, numerical_rank, pencil_from_ensemble,
-                     random_density, rank_at, sample_locus, spectral_pencil)
+from mixloci import (BipartiteShape, DimensionMismatch, GenericityQuery, ParameterOutOfRange,
+                     ToleranceConfig, check_component_necessary, density_from_ensemble,
+                     eigen_ensemble, hermitian_form, in_locus, is_locus_empty, locus_zero,
+                     make_ensemble, make_pure, mix, monte_carlo_genericity, numerical_rank,
+                     pencil_from_ensemble, random_density, rank_at, sample_locus,
+                     spectral_pencil)
 from mixloci import loci
 from mixloci.loci import InvalidK, LinearLocus, Pencil, ProjectivePoint, SearchConfig, _descend
 
@@ -254,6 +253,12 @@ def empty_locus_pencil():
     return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
 
 
+def tall_pencil():
+    # side A of a rank-3 4x4 state: 4x3 blocks, more rows than columns
+    rho = random_density(BipartiteShape(4, 4), 3, seed=[2, 7])
+    return pencil_from_ensemble(eigen_ensemble(rho, TOL), "A")
+
+
 def drawn_starts(p, config):
     """The starts sample_locus draws for config."""
     draws = np.random.default_rng(config.seed).standard_normal((config.starts, 2, p.ambient_dim))
@@ -265,9 +270,11 @@ def descend(p, k, R0, config):
     return _descend(p.blocks[None], np.zeros(len(R0), dtype=int), k, R0, config, TOL)
 
 
-@pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty"])
+@pytest.mark.parametrize("name", ["example2_target.json", "example4.json", "generic", "empty",
+                                  "tall"])
 def test_search_kernel_has_no_width_dependence(name, monkeypatch):
-    p = {"generic": generic_pencil, "empty": empty_locus_pencil}.get(name, lambda: pencil_of(name))()
+    p = {"generic": generic_pencil, "empty": empty_locus_pencil,
+         "tall": tall_pencil}.get(name, lambda: pencil_of(name))()
     config = SearchConfig(starts=24, seed=3)
     R0 = drawn_starts(p, config)
     r, f, reason, rounds = descend(p, 2, R0, config)
@@ -703,72 +710,6 @@ def test_sample_locus_zero_pencil():
     sample = sample_locus(p, 1, CONFIG, TOL)
     assert sample.trivial
     assert rank_at(p, point(1, 0), TOL) == 0
-
-
-def test_local_dimension_example1_isolated():
-    p = pencil_of("example1.json")
-    assert local_dimension(p, 0, point(1, -1), TOL) == 0
-
-
-def test_local_dimension_example4_line():
-    p = pencil_of("example4.json")
-    pt = ProjectivePoint.of([0, 0, 1.0, 0.7 - 0.2j])
-    assert in_locus(p, 2, pt, TOL)
-    assert local_dimension(p, 2, pt, TOL) >= 1
-
-
-def test_local_dimension_matches_linear_case():
-    for name in ("example1.json", "example3.json"):
-        p = pencil_of(name)
-        locus = locus_zero(p, TOL)
-        for pt in locus.points():
-            assert local_dimension(p, 0, pt, TOL) == locus.projective_dimension
-
-
-def minor_jacobian_dimension(p, k, pt):
-    """Reference for local_dimension: ambient - 1 - rank of the Jacobian of
-    every (k+1)-minor, each by Jacobi's formula d det(S) = sum cof(S)_ab dS_ab."""
-    M = p.evaluate(pt.coords)
-    rows, cols = p.block_shape
-    jac = []
-    for R in combinations(range(rows), k + 1):
-        for C in combinations(range(cols), k + 1):
-            S = M[np.ix_(R, C)]
-            cof = [[(-1) ** (a + b) * np.linalg.det(np.delete(np.delete(S, a, 0), b, 1))
-                    if k else 1.0 for b in range(k + 1)] for a in range(k + 1)]
-            jac.append(np.einsum("ab,iab->i", np.array(cof), p.blocks[:, R, :][:, :, C]))
-    return p.ambient_dim - 1 - numerical_rank(np.array(jac), TOL)
-
-
-def test_local_dimension_matches_minor_jacobian():
-    config = SearchConfig(starts=64, seed=0)
-    cases = [(pencil_of("example1.json"), 0, point(1, -1), 0)]
-    # lines, and example4's isolated point (0:1:0:0), where sigma_3 grows like
-    # |r1|^2: the search ends ~5e-6 from it, where the estimate is 0
-    isolated = point(0, 1, 0, 0)
-    for name in ("example4.json", "example2_target.json"):
-        p = pencil_of(name)
-        cases += [(p, 2, pt, 0 if p.ambient_dim == 4 and pt.same_point(isolated) else 1)
-                  for pt in sample_locus(p, 2, config, TOL).points]
-    assert [local_dimension(p, k, pt, TOL) for p, k, pt, _ in cases] \
-        == [minor_jacobian_dimension(p, k, pt) for p, k, pt, _ in cases] \
-        == [dim for _, _, _, dim in cases]
-    assert sum(dim == 0 for _, k, _, dim in cases if k == 2) == 1
-
-
-def test_local_dimension_below_rank_k():
-    # example1's pencil vanishes at (1:-1): rank 0 < k = 1.  Every 2-minor
-    # vanishes to second order there, so the estimate is the bound ambient - 1
-    p = pencil_of("example1.json")
-    assert rank_at(p, point(1, -1), TOL) == 0
-    assert local_dimension(p, 1, point(1, -1), TOL) == p.ambient_dim - 1 \
-        == minor_jacobian_dimension(p, 1, point(1, -1))
-
-
-def test_local_dimension_not_on_locus():
-    p = pencil_of("example3.json")
-    with pytest.raises(NotOnLocus):
-        local_dimension(p, 0, point(1, 0, 0), TOL)
 
 
 def test_is_locus_empty_bell():

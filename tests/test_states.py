@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mixloci import (BipartiteShape, NotHermitian, ShapeMismatch, ToleranceConfig,
+from mixloci import (BipartiteShape, NotHermitian, PureState, ShapeMismatch, ToleranceConfig,
                      WeightSumInvalid, ZeroVector, density_from_ensemble,
                      density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
                      mix, partial_trace, random_density, random_pure, schmidt)
@@ -200,6 +200,35 @@ def test_random_density_full_rank_and_determinism():
     np.testing.assert_allclose(rho.matrix, again.matrix)
     with pytest.raises(RankOutOfRange):
         random_density(S22, 5, seed=0)
+
+
+def ensemble_route_density(shape, rank, seed):
+    """random_density's draws made into PureStates and an Ensemble, whose
+    density_from_ensemble is the reference for random_density's matrix."""
+    rng = np.random.default_rng(seed)
+    while True:
+        G = rng.standard_normal((shape.dim, rank)) + 1j * rng.standard_normal((shape.dim, rank))
+        Q, _ = np.linalg.qr(G)
+        weights = rng.dirichlet(np.ones(rank))
+        if weights.min() >= 1e-6:
+            break
+    ensemble = make_ensemble(shape, [(float(w), PureState(shape, Q[:, l].copy()))
+                                     for l, w in enumerate(weights)])
+    assert not ensemble.normalized  # the weights were not rescaled
+    return density_from_ensemble(ensemble)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (6, 6)])
+def test_random_density_is_its_ensemble_route_byte_for_byte(m, n):
+    shape = BipartiteShape(m, n)
+    for rank in range(1, shape.dim + 1):
+        for seed in range(10):
+            rho = random_density(shape, rank, seed=[m, n, rank, seed])
+            ref = ensemble_route_density(shape, rank, [m, n, rank, seed])
+            for ours, theirs in ((rho.matrix, ref.matrix),
+                                 (rho.spectrum.eigenvalues, ref.spectrum.eigenvalues),
+                                 (rho.spectrum.eigenvectors, ref.spectrum.eigenvectors)):
+                assert ours.tobytes() == theirs.tobytes()
 
 
 def test_random_pure_rank_bound_and_determinism():

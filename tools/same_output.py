@@ -44,7 +44,8 @@ def requests() -> list[list[str]]:
     Theorem-1 and a Theorem-2 majorization, the matrix-form fixture's loci
     and, at a rank cut above its every eigenvalue, its majorization and
     bounds, seeded genericity trials, then genericity requests that fit one
-    kernel batch, non-square ones included, and the MULTI_BATCH ones."""
+    kernel batch, non-square ones and one on 8x8 states included, and the
+    MULTI_BATCH ones."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -85,6 +86,10 @@ def requests() -> list[list[str]]:
                     for m, n, r, t in (("3", "2", "3", "1"), ("4", "3", "4", "2"),
                                        ("5", "3", "3", "1"), ("3", "4", "4", "2"),
                                        ("2", "3", "3", "1"))),
+                  # states of dimension 64: np.linalg.qr and eigh give the same bytes
+                  # at one and two BLAS threads there, not at 128 (README, Notes)
+                  ["--m", "8", "--n", "8", "--r", "64", "--t", "7", "--starts", "1",
+                   "--trials", "2"],
                   *MULTI_BATCH):
         reqs.append(["genericity", *extra])
     return reqs
