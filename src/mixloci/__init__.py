@@ -1,8 +1,7 @@
 """Degeneracy loci of bipartite mixed states and mixing obstructions."""
 
-from .errors import (DimensionMismatch, InvalidK, MixLociError, NotHermitian, NotSquare,
-                     ParameterOutOfRange, RankOutOfRange, ShapeMismatch, WeightSumInvalid,
-                     ZeroVector)
+from .errors import (InvalidK, MixLociError, NotHermitian, ParameterOutOfRange, ShapeMismatch,
+                     WeightSumInvalid, ZeroVector)
 from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoint,
                    SearchConfig, hermitian_form, in_locus, is_locus_empty, locus_zero,
                    pencil_from_ensemble, rank_at, sample_locus, spectral_pencil)

@@ -1,41 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per condition."""
 
 
-class MixLociError(Exception):
-    """Base class for all package errors."""
-
-
-class NotSquare(MixLociError):
-    pass
+class MixLociError(ValueError):
+    """Base class of every error the package raises on bad input."""
 
 
 class NotHermitian(MixLociError):
-    pass
+    """A matrix that must be Hermitian is not."""
 
 
 class ZeroVector(MixLociError):
-    pass
+    """An amplitude vector or projective point is (numerically) zero."""
 
 
 class ShapeMismatch(MixLociError):
-    pass
+    """Sizes that must agree do not, or a density matrix is invalid."""
 
 
 class WeightSumInvalid(MixLociError):
-    pass
-
-
-class RankOutOfRange(MixLociError):
-    pass
-
-
-class DimensionMismatch(MixLociError):
-    pass
+    """Mixture weights that are not positive, not summing to 1, or miscounted."""
 
 
 class InvalidK(MixLociError):
-    pass
+    """A rank bound k outside its range."""
 
 
 class ParameterOutOfRange(MixLociError):
-    pass
+    """Any other argument outside its range: side, rank, seed, tolerance."""

@@ -84,7 +84,7 @@ def _load_state(path) -> LoadedState:
         data = Path(path).read_bytes()
         # newlines translated as text mode does, so a JSON error names that text's line
         doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
     if not isinstance(doc, dict):

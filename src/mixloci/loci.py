@@ -13,9 +13,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidK, ParameterOutOfRange
+from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, ZeroVector
 from .numeric import ToleranceConfig, null_space, numerical_rank
-from .states import DensityMatrix, Ensemble, Side, support
+from .states import DensityMatrix, Ensemble, Side, _check_side, support
 
 __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
            "LocusVerdict", "pencil_from_ensemble", "spectral_pencil", "hermitian_form", "rank_at",
@@ -60,7 +60,7 @@ def _canonical(V: np.ndarray) -> np.ndarray:
     re, im = V.real, V.imag
     norm = np.sqrt((re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0])
     if (norm < 1e-300).any():
-        raise ValueError("projective point cannot be the zero vector")
+        raise ZeroVector("projective point cannot be the zero vector")
     V = V / norm[:, None]
     moduli = np.abs(V)
     pivot = np.argmax(moduli > moduli.max(axis=1, keepdims=True) - 1e-14, axis=1)
@@ -159,8 +159,7 @@ class LocusVerdict:
 def _side_pencil(a: np.ndarray, side: Side) -> Pencil:
     """The pencil of the m x n x t amplitude tensor a on one side: blocks[w] =
     a[w, :, :], n x t, on side A and blocks[j] = a[:, j, :], m x t, on side B."""
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    _check_side(side)
     return Pencil(np.ascontiguousarray(a if side == "A" else np.transpose(a, (1, 0, 2))))
 
 
@@ -178,23 +177,18 @@ def spectral_pencil(rho: DensityMatrix, side: Side,
 
 def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np.ndarray:
     """The form sum_{i,j} r_i r_j^* rho_ij measured against one side."""
+    _check_side(side)
     m, n = rho.shape.m, rho.shape.n
-    r = point.coords
-    tensor = rho.matrix.reshape(m, n, m, n)
-    if side == "A":
-        if r.size != m:
-            raise DimensionMismatch(f"point has {r.size} coordinates, side A needs {m}")
-        return np.einsum("i,j,iajb->ab", r, r.conj(), tensor)
-    if side == "B":
-        if r.size != n:
-            raise DimensionMismatch(f"point has {r.size} coordinates, side B needs {n}")
-        return np.einsum("j,l,ajbl->ab", r, r.conj(), tensor)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    r, need = point.coords, (m if side == "A" else n)
+    if r.size != need:
+        raise ShapeMismatch(f"point has {r.size} coordinates, side {side} needs {need}")
+    return np.einsum("i,j,iajb->ab" if side == "A" else "j,l,ajbl->ab",
+                     r, r.conj(), rho.matrix.reshape(m, n, m, n))
 
 
 def rank_at(p: Pencil, point: ProjectivePoint, tol: ToleranceConfig = ToleranceConfig()) -> int:
     if point.coords.size != p.ambient_dim:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"point has {point.coords.size} coordinates, pencil ambient is {p.ambient_dim}")
     return numerical_rank(p.evaluate(point.coords), tol)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotSquare, ParameterOutOfRange
+from .errors import NotHermitian, ParameterOutOfRange, ShapeMismatch
 
 __all__ = ["ToleranceConfig", "EigResult", "SVDResult", "as_matrix", "hermitian_eig", "svd",
            "numerical_rank", "null_space"]
@@ -68,9 +68,9 @@ def as_matrix(entries) -> np.ndarray:
     """Coerce input to a finite 2-D complex array."""
     matrix = np.asarray(entries, dtype=complex)
     if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
+        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={matrix.ndim}")
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise ParameterOutOfRange("matrix entries must be finite")
     return matrix
 
 
@@ -81,7 +81,7 @@ def hermitian_eig(H, what: str = "matrix") -> EigResult:
     """
     H = as_matrix(H)
     if H.shape[0] != H.shape[1]:
-        raise NotSquare(f"{what} is {H.shape[0]}x{H.shape[1]}")
+        raise ShapeMismatch(f"{what} is {H.shape[0]}x{H.shape[1]}")
     if np.linalg.norm(H - H.conj().T) > _HERM_REL * (1.0 + np.linalg.norm(H)):
         raise NotHermitian(f"{what} is not Hermitian")
     eigenvalues, eigenvectors = np.linalg.eigh((H + H.conj().T) / 2.0)

@@ -11,8 +11,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import (ParameterOutOfRange, RankOutOfRange, ShapeMismatch, WeightSumInvalid,
-                     ZeroVector)
+from .errors import ParameterOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
 from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
 
 __all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
@@ -211,15 +210,17 @@ def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMat
     return density_matrix_from_array(matrix, shape)
 
 
+def _check_side(side) -> None:
+    if side not in ("A", "B"):
+        raise ParameterOutOfRange(f"side must be 'A' or 'B', got {side!r}")
+
+
 def partial_trace(rho: DensityMatrix, side: Side) -> np.ndarray:
     """Trace out one side: side='A' gives tr_A(rho) (n x n), side='B' gives m x m."""
+    _check_side(side)
     m, n = rho.shape.m, rho.shape.n
     tensor = rho.matrix.reshape(m, n, m, n)
-    if side == "A":
-        return np.einsum("ijil->jl", tensor)
-    if side == "B":
-        return np.einsum("ijkj->ik", tensor)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    return np.einsum("ijil->jl" if side == "A" else "ijkj->ik", tensor)
 
 
 def random_pure(shape: BipartiteShape, seed) -> PureState:
@@ -231,7 +232,7 @@ def random_pure(shape: BipartiteShape, seed) -> PureState:
 def random_density(shape: BipartiteShape, rank: int, seed) -> DensityMatrix:
     """Random rank-r state: orthonormalized Gaussian vectors, flat simplex weights."""
     if not 1 <= rank <= shape.dim:
-        raise RankOutOfRange(f"rank {rank} outside [1, {shape.dim}]")
+        raise ParameterOutOfRange(f"rank {rank} outside [1, {shape.dim}]")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         G = rng.standard_normal((shape.dim, rank)) + 1j * rng.standard_normal((shape.dim, rank))

@@ -389,6 +389,17 @@ def test_load_state_runs_no_collection_and_leaves_the_collector_as_it_was(tmp_pa
         gc.enable()
     assert sweeps == []
 
+
+def test_deeply_nested_state_file_is_a_state_file_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"m": 2, "n": 2, "matrix": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(StateFileError) as raised:
+        load_state(path)
+    assert str(raised.value).startswith(
+        f"cannot read state file {path}: maximum recursion depth exceeded")
+    assert gc.isenabled()
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     from mixloci import cli
     build_parser, built = cli.build_parser, []
@@ -426,12 +437,14 @@ OVERFLOWING_STATES = [
     *OVERFLOWING_STATES,
     {"m": 2, "n": 2, "normalize": False, "ensemble": [{"p": 0.5, "amps": AMPS_00}]},
     {"m": 2, "n": 2, "normalize": False, "ensemble": [{"p": 1, "amps": [[2, 0]] + AMPS_00[1:]}]},
+    # raw text, as json.dumps recurses too: the parser's recursion guard trips
+    "[" * 100000 + "]" * 100000,
 ], ids=["missing_p", "ensemble_not_list", "nan_amplitude", "normalize_string",
         "overflowing_weights", "overflowing_amplitudes", "overflowing_matrix",
-        "unnormalized_weights", "unnormalized_amplitudes"])
+        "unnormalized_weights", "unnormalized_amplitudes", "deeply_nested"])
 def test_malformed_state_file_exits_2(tmp_path, doc):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     completed = run_cli("bounds", "--state", path, check=False)
     assert completed.returncode == 2
     lines = completed.stderr.splitlines()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixloci import (BipartiteShape, DimensionMismatch, GenericityQuery, ParameterOutOfRange,
+from mixloci import (BipartiteShape, GenericityQuery, ParameterOutOfRange, ShapeMismatch,
                      ToleranceConfig, check_component_necessary, density_from_ensemble,
                      eigen_ensemble, hermitian_form, in_locus, is_locus_empty, locus_zero,
                      make_ensemble, make_pure, mix, monte_carlo_genericity, numerical_rank,
@@ -135,7 +135,7 @@ def test_hermitian_form_is_psd():
 
 def test_hermitian_form_dimension_mismatch():
     rho = load_fixture("example3.json").density
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         hermitian_form(rho, point(1, 0), "A")
 
 

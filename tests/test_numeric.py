@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixloci import (NotHermitian, NotSquare, ParameterOutOfRange, ToleranceConfig,
+from mixloci import (NotHermitian, ParameterOutOfRange, ShapeMismatch, ToleranceConfig,
                      hermitian_eig, null_space, numerical_rank, svd)
 
 TOL = ToleranceConfig()
@@ -33,7 +33,7 @@ def test_hermitian_eig_reconstruction_residual():
 
 
 def test_hermitian_eig_rejects_bad_input():
-    with pytest.raises(NotSquare):
+    with pytest.raises(ShapeMismatch):
         hermitian_eig(np.ones((2, 3)))
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -9,7 +9,7 @@ from mixloci import (BipartiteShape, NotHermitian, PureState, ShapeMismatch, Tol
                      WeightSumInvalid, ZeroVector, density_from_ensemble,
                      density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
                      mix, partial_trace, random_density, random_pure, schmidt)
-from mixloci.errors import ParameterOutOfRange, RankOutOfRange
+from mixloci.errors import ParameterOutOfRange
 from mixloci.io import StateFileError, load_state
 
 from conftest import load_fixture
@@ -198,7 +198,7 @@ def test_random_density_full_rank_and_determinism():
     assert np.min(rho.eigenvalues()) > TOL.threshold(rho.matrix)
     again = random_density(S22, 4, seed=9)
     np.testing.assert_allclose(rho.matrix, again.matrix)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(ParameterOutOfRange):
         random_density(S22, 5, seed=0)
 
 

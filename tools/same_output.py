@@ -4,8 +4,8 @@
 
 Runs each request below as `python -m mixloci.cli --json ...` with the tree's
 src/ on PYTHONPATH, once per tree and per OPENBLAS_NUM_THREADS value (1 and
-2), one subprocess at a time.  Prints every request whose stdout or exit code
-differs from the old tree's at one thread, and exits 1 if any does.  The
+2), one subprocess at a time.  Prints every request whose stdout, stderr or
+exit code differs from the old tree's at one thread, and exits 1 if any does.  The
 state files come from this repository's fixtures/, the same for both trees.
 Only the standard library is used.
 """
@@ -44,8 +44,9 @@ def requests() -> list[list[str]]:
     Theorem-1 and a Theorem-2 majorization, the matrix-form fixture's loci
     and, at a rank cut above its every eigenvalue, its majorization and
     bounds, seeded genericity trials, then genericity requests that fit one
-    kernel batch, non-square ones and one on 8x8 states included, and the
-    MULTI_BATCH ones."""
+    kernel batch, non-square ones and one on 8x8 states included, the
+    MULTI_BATCH ones, then requests that exit 2 with one `error:` line, one
+    per CLI error class and check."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -92,14 +93,28 @@ def requests() -> list[list[str]]:
                    "--trials", "2"],
                   *MULTI_BATCH):
         reqs.append(["genericity", *extra])
+    example4 = _fixture("example4.json")
+    reqs += [
+        ["locus", "--state", example4, "--k", "-1"],
+        ["check-mix", "--target", example4, "--component", example4, "--k", "99"],
+        ["check-mix", "--target", example4, "--component", example4, "--k", "two"],
+        ["check-mix", "--target", _fixture("example1.json"), "--component", pair[0]],
+        ["genericity", "--m", "3", "--n", "3", "--r", "0", "--t", "0"],
+        ["genericity", "--m", "40", "--n", "40", "--r", "4", "--t", "1", "--trials", "1"],
+        ["--tol-floor", "0.3", "bounds", "--state", matrix_form],  # eigenvalues 1/4
+        ["majorize", "--p", "0.5,0.6", "--target", matrix_form],
+        ["--seed", "-1", "bounds", "--state", _fixture("example3.json")],
+        ["bounds", "--state", _fixture("missing.json")],
+        ["locus", "--state", example4, "--k", "1", "--starts", "0"],
+    ]
     return reqs
 
 
-def run(tree: Path, argv: list[str], threads: str) -> tuple[int, str]:
+def run(tree: Path, argv: list[str], threads: str) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads)
     done = subprocess.run([sys.executable, "-m", "mixloci.cli", "--json", *argv], env=env,
                           capture_output=True, text=True, check=False)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def main(argv: list[str]) -> int:
