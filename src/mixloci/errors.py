@@ -14,7 +14,7 @@ class ZeroVector(MixLociError):
 
 
 class ShapeMismatch(MixLociError):
-    """Sizes that must agree do not, or a density matrix is invalid."""
+    """Sizes that must agree do not: shapes, counts, a state pair, pencil blocks."""
 
 
 class WeightSumInvalid(MixLociError):
@@ -26,4 +26,5 @@ class InvalidK(MixLociError):
 
 
 class ParameterOutOfRange(MixLociError):
-    """Any other argument outside its range: side, rank, seed, tolerance."""
+    """Any other argument outside its range: side, rank, seed, tolerance,
+    non-finite entries, a density matrix's trace or spectrum."""

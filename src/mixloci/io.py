@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MixLociError, NotHermitian, ShapeMismatch, WeightSumInvalid, ZeroVector
+from .errors import MixLociError
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
                      density_from_ensemble, density_matrix_from_array, make_ensemble,
                      make_pure)
@@ -138,5 +138,7 @@ def _load_state(path) -> LoadedState:
                 raise StateFileError(
                     f"matrix entries exceed {_MAX_MAGNITUDE:g} once divided by the trace")
         return LoadedState(density_matrix_from_array(matrix, shape), None, digest)
-    except (ShapeMismatch, NotHermitian, ZeroVector, WeightSumInvalid) as exc:
+    except StateFileError:
+        raise
+    except MixLociError as exc:  # a check of the states layer
         raise StateFileError(str(exc)) from exc

@@ -186,7 +186,19 @@ def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np
                      r, r.conj(), rho.matrix.reshape(m, n, m, n))
 
 
+def _check_blocks(p: Pencil) -> None:
+    """Blocks a locus computation can read: (ambient, rows, cols), each at
+    least 1, with finite entries.  Once per search: the kernel's per-row
+    pencils are built from checked blocks."""
+    if p.blocks.ndim != 3 or 0 in p.blocks.shape:
+        raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
+                            f"least 1, got {p.blocks.shape}")
+    if not np.isfinite(p.blocks).all():
+        raise ParameterOutOfRange("pencil blocks must be finite")
+
+
 def rank_at(p: Pencil, point: ProjectivePoint, tol: ToleranceConfig = ToleranceConfig()) -> int:
+    _check_blocks(p)
     if point.coords.size != p.ambient_dim:
         raise ShapeMismatch(
             f"point has {point.coords.size} coordinates, pencil ambient is {p.ambient_dim}")
@@ -202,6 +214,7 @@ def in_locus(p: Pencil, k: int, point: ProjectivePoint,
 
 def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLocus:
     """Exact rank-0 locus: null space of the stacked block matrix."""
+    _check_blocks(p)
     return LinearLocus(null_space(p.stacked(), tol))
 
 
@@ -447,6 +460,7 @@ def _sample_loci(pencils, k: int, config: SearchConfig,
             samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
 
     for i, p in enumerate(pencils):
+        _check_blocks(p)
         if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
             # every point is on the locus: k reaches the block size, or the pencil is zero
             stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}

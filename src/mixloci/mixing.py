@@ -12,12 +12,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, WeightSumInvalid
+from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch
 from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, locus_zero,
                    sample_locus, spectral_pencil)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
-from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _positive_weights,
-                     partial_trace, random_density, rank_cut, schmidt_rank, support)
+from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _check_mixture,
+                     _check_weights, partial_trace, random_density, rank_cut, schmidt_rank,
+                     support)
 
 __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
            "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
@@ -120,29 +121,10 @@ def majorizes(r: Sequence[float], s: Sequence[float], tol: float = _SUM_TOL) -> 
     return bool(np.all(rc[:-1] <= sc[:-1] + tol))
 
 
-def _check_weights(weights) -> np.ndarray:
-    weights = _positive_weights(weights)
-    if abs(weights.sum() - 1.0) > _SUM_TOL:
-        raise WeightSumInvalid(f"weights sum to {float(weights.sum())!r}, expected 1")
-    return weights
-
-
-def _check_mixture(rho: DensityMatrix, weights: Sequence[float],
-                   components: Sequence[DensityMatrix]) -> np.ndarray:
-    """Valid weights, one per component, and components of rho's shape."""
-    weights = _check_weights(weights)
-    if len(weights) != len(components):
-        raise WeightSumInvalid("weights and components differ in length")
-    for c in components:
-        if c.shape != rho.shape:
-            raise ShapeMismatch("component shape mismatch")
-    return weights
-
-
 def check_pure_mix_eigen(rho: DensityMatrix, probs: Sequence[float]) -> bool:
     """A pure-state decomposition with weights (p_i) exists iff (p_i) is
     majorized by the spectrum of rho."""
-    probs = _check_weights(probs)
+    probs = _check_weights(probs, _SUM_TOL)
     return majorizes(probs, rho.eigenvalues())
 
 
@@ -150,7 +132,7 @@ def check_mixed_mix_eigen(rho: DensityMatrix, weights: Sequence[float],
                           components: Sequence[DensityMatrix]) -> bool:
     """Necessary for rho = sum p_j rho_j: lambda(rho) majorized by the
     weighted average of the component spectra."""
-    weights = _check_mixture(rho, weights, components)
+    weights = _check_mixture(weights, components, rho.shape, _SUM_TOL)
     averaged = sum(w * c.eigenvalues() for w, c in zip(weights, components))
     return majorizes(rho.eigenvalues(), averaged)
 
@@ -162,7 +144,7 @@ def _reduced_spectrum(rho: DensityMatrix, side: Side) -> np.ndarray:
 def check_reduced_constraints(rho: DensityMatrix, weights: Sequence[float],
                               components: Sequence[DensityMatrix]) -> bool:
     """Apply the mixed-state eigenvalue constraint to both partial traces."""
-    weights = _check_mixture(rho, weights, components)
+    weights = _check_mixture(weights, components, rho.shape, _SUM_TOL)
     for side in ("A", "B"):
         averaged = sum(w * _reduced_spectrum(c, side) for w, c in zip(weights, components))
         if not majorizes(_reduced_spectrum(rho, side), averaged):
@@ -206,11 +188,17 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
     return list(sample.points), stats
 
 
+def _check_pair(target: DensityMatrix, component: DensityMatrix) -> None:
+    if target.shape != component.shape:
+        raise ShapeMismatch("target and component shapes differ")
+
+
 def range_containment(target: DensityMatrix, component: DensityMatrix,
                       tol: ToleranceConfig = ToleranceConfig()) -> RangeContainment:
     """Range test on the stored spectra cut as spectral_pencil cuts them.  Within
     a unit matrix's rank threshold over the guard band (0 at full rank), a
     leak counts as none."""
+    _check_pair(target, component)
     t, c = support(target, tol), support(component, tol)
     dim = target.shape.dim
     overlap = t.eigenvectors.conj().T @ c.eigenvectors
@@ -243,8 +231,7 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     rank cut: a component there may be cut out of the target's pencil, and a
     certificate against it would be false.
     """
-    if target.shape != component.shape:
-        raise ShapeMismatch("target and component shapes differ")
+    _check_pair(target, component)
     target_pencil = spectral_pencil(target, side, tol)
     max_k = target_pencil.max_rank_bound()
     if k is not None and not 0 <= k < max_k:

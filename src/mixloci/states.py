@@ -106,20 +106,22 @@ def make_pure(raw_amplitudes, shape: BipartiteShape) -> PureState:
     return PureState(shape, amps / norm)
 
 
-def _positive_weights(weights) -> np.ndarray:
+def _check_weights(weights, sum_tol: float) -> np.ndarray:
     """weights as a nonempty float array of positive numbers with a finite sum,
-    so each is finite."""
+    so each is finite, within sum_tol of 1."""
     weights = np.asarray(weights, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing sum is rejected, not warned about
         total = weights.sum()
     if weights.size == 0 or np.any(weights <= 0) or not np.isfinite(total):
         raise WeightSumInvalid("weights must be positive, with a finite sum")
+    if abs(total - 1.0) > sum_tol:
+        raise WeightSumInvalid(f"weights sum to {float(total)!r}, expected 1")
     return weights
 
 
 def make_ensemble(shape: BipartiteShape, members: Sequence[tuple[float, PureState]]) -> Ensemble:
     """Build an ensemble, rescaling weights to unit sum when needed."""
-    weights = _positive_weights([p for p, _ in members])
+    weights = _check_weights([p for p, _ in members], float("inf"))  # any sum is rescaled
     for _, psi in members:
         if psi.shape != shape:
             raise ShapeMismatch("ensemble member shape mismatch")
@@ -152,9 +154,9 @@ def density_matrix_from_array(matrix, shape: BipartiteShape) -> DensityMatrix:
     spectrum = hermitian_eig(matrix, "density matrix")
     matrix = (matrix + matrix.conj().T) / 2.0
     if abs(np.trace(matrix).real - 1.0) > _TRACE_TOL:
-        raise ShapeMismatch("density matrix trace differs from 1")
+        raise ParameterOutOfRange("density matrix trace differs from 1")
     if spectrum.eigenvalues[-1] < -_PSD_TOL:
-        raise ShapeMismatch(
+        raise ParameterOutOfRange(
             f"density matrix has negative eigenvalue {spectrum.eigenvalues[-1]:.3e}")
     for array in (matrix, spectrum.eigenvalues, spectrum.eigenvectors):
         array.flags.writeable = False
@@ -195,17 +197,22 @@ def eigen_ensemble(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig())
                                      for lam, vec in zip(kept.eigenvalues, kept.eigenvectors.T)])
 
 
-def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMatrix:
-    """Convex combination sum_i w_i rho_i."""
-    weights = _positive_weights(weights)
+def _check_mixture(weights, states: Sequence[DensityMatrix], shape: BipartiteShape,
+                   sum_tol: float) -> np.ndarray:
+    """_check_weights, then one weight per state and every state of the given shape."""
+    weights = _check_weights(weights, sum_tol)
     if len(weights) != len(states):
-        raise WeightSumInvalid("weights must match the state count")
-    if abs(weights.sum() - 1.0) > _TRACE_TOL:
-        raise WeightSumInvalid(f"weights sum to {float(weights.sum())!r}, expected 1")
-    shape = states[0].shape
+        raise WeightSumInvalid("weights and components differ in length")
     for s in states:
         if s.shape != shape:
-            raise ShapeMismatch("mixed states must share one bipartite shape")
+            raise ShapeMismatch("component shape mismatch")
+    return weights
+
+
+def mix(weights: Sequence[float], states: Sequence[DensityMatrix]) -> DensityMatrix:
+    """Convex combination sum_i w_i rho_i."""
+    shape = states[0].shape if len(states) else None  # no states: the count check fails
+    weights = _check_mixture(weights, states, shape, _TRACE_TOL)
     matrix = sum(w * s.matrix for w, s in zip(weights, states))
     return density_matrix_from_array(matrix, shape)
 

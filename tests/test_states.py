@@ -90,6 +90,24 @@ def test_non_hermitian_matrix_raises_not_hermitian(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("diagonal, message", [
+    ((0.6, 0.6), "density matrix trace differs from 1"),
+    ((1.5, -0.5), "density matrix has negative eigenvalue -5.000e-01"),
+], ids=["trace", "negative_eigenvalue"])
+def test_invalid_density_matrix_file_is_a_state_file_error(tmp_path, diagonal, message):
+    # density_matrix_from_array raises ParameterOutOfRange; load_state rewraps
+    # it under the same message
+    with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
+        density_matrix_from_array(np.diag(diagonal), BipartiteShape(1, 2))
+    path = tmp_path / "invalid.json"
+    a, b = diagonal
+    path.write_text(json.dumps({"m": 1, "n": 2, "normalize": False,
+                                "matrix": [[a, 0], [0, 0], [0, 0], [b, 0]]}))
+    with pytest.raises(StateFileError) as raised:
+        load_state(path)
+    assert str(raised.value) == message
+
+
 def test_density_example1_entry():
     rho = load_fixture("example1.json").density
     assert rho.matrix[0, 0] == pytest.approx(3 / 8, abs=1e-12)

@@ -17,11 +17,11 @@ def load_tool(name):
     return module
 
 
-def test_same_output_multi_batch_requests_span_more_than_one_batch():
+def test_same_output_multi_batch_requests_span_more_than_one_batch(tmp_path):
     # a genericity request of trials m x n rank-r states puts (m, n, r) blocks
     # in its pencils: it takes more than one batch exactly when it is tagged
     same_output = load_tool("same_output")
-    genericity = [build_parser().parse_args(req) for req in same_output.requests()
+    genericity = [build_parser().parse_args(req) for req in same_output.requests(tmp_path)
                   if "genericity" in req]
     tagged = [build_parser().parse_args(["genericity", *req]) for req in same_output.MULTI_BATCH]
     assert tagged and all(args in genericity for args in tagged)

@@ -6,19 +6,31 @@ Runs each request below as `python -m mixloci.cli --json ...` with the tree's
 src/ on PYTHONPATH, once per tree and per OPENBLAS_NUM_THREADS value (1 and
 2), one subprocess at a time.  Prints every request whose stdout, stderr or
 exit code differs from the old tree's at one thread, and exits 1 if any does.  The
-state files come from this repository's fixtures/, the same for both trees.
+state files come from this repository's fixtures/, but for INVALID_STATES, which
+are written once to a temporary directory; both trees read the same files.
 Only the standard library is used.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 THREADS = ("1", "2")
+
+# state files that parse but hold no density matrix: a trace of 1.2 as given,
+# and a negative eigenvalue
+INVALID_STATES = {
+    "trace.json": {"m": 1, "n": 2, "normalize": False,
+                   "matrix": [[0.6, 0], [0, 0], [0, 0], [0.6, 0]]},
+    "negative_eigenvalue.json": {"m": 1, "n": 2,
+                                 "matrix": [[1.5, 0], [0, 0], [0, 0], [-0.5, 0]]},
+}
 
 
 def _fixture(name: str) -> str:
@@ -36,8 +48,9 @@ MULTI_BATCH = (
 )
 
 
-def requests() -> list[list[str]]:
-    """argv lists after `--json`: the searches on the fixtures, the mixture
+def requests(invalid_states: Path) -> list[list[str]]:
+    """argv lists after `--json`, INVALID_STATES read from the directory
+    invalid_states: the searches on the fixtures, the mixture
     checks on example2 both ways, of example2_target against itself (the
     range-contained path) and of bell in example1 (a component whose pencil's
     block bound, 1, is below the target's), bounds on every fixture, a
@@ -46,7 +59,8 @@ def requests() -> list[list[str]]:
     bounds, seeded genericity trials, then genericity requests that fit one
     kernel batch, non-square ones and one on 8x8 states included, the
     MULTI_BATCH ones, then requests that exit 2 with one `error:` line, one
-    per CLI error class and check."""
+    per CLI error class and check: INVALID_STATES and the majorization
+    mixture's count and shape checks among them."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -106,6 +120,10 @@ def requests() -> list[list[str]]:
         ["--seed", "-1", "bounds", "--state", _fixture("example3.json")],
         ["bounds", "--state", _fixture("missing.json")],
         ["locus", "--state", example4, "--k", "1", "--starts", "0"],
+        *(["bounds", "--state", str(invalid_states / name)] for name in INVALID_STATES),
+        ["majorize", "--target", pair[0], "--components", *pair, "--weights", "1"],
+        ["majorize", "--target", _fixture("example1.json"),
+         "--components", _fixture("example3.json"), "--weights", "1"],
     ]
     return reqs
 
@@ -122,7 +140,13 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/same_output.py OLD_TREE NEW_TREE", file=sys.stderr)
         return 2
     old, new = (Path(tree).resolve() for tree in argv)
-    reqs = requests()
+    with tempfile.TemporaryDirectory() as invalid_states:
+        for name, doc in INVALID_STATES.items():
+            (Path(invalid_states) / name).write_text(json.dumps(doc))
+        return compare(old, new, requests(Path(invalid_states)))
+
+
+def compare(old: Path, new: Path, reqs: list[list[str]]) -> int:
     differing = 0
     for i, req in enumerate(reqs, 1):
         runs = {f"{side} tree, {threads} thread(s)": run(tree, req, threads)
