@@ -142,25 +142,13 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
                                         side=args.side, k=k, config=config, tol=tol)
     inputs = {"target": target.sha256, "component": component.sha256,
               "side": args.side, "k": args.k}
-    if verdict.status == "INFEASIBLE":
+    data = {"range": asdict(verdict.range_test), "reason": verdict.reason,
+            "search_stats": {str(kk): st for kk, st in verdict.stats.items()}}
+    if verdict.certificate is not None:
         cert = verdict.certificate
-        data = {**asdict(cert), "witness": complex_to_pairs(cert.witness.coords)}
-        human = (f"INFEASIBLE: witness {np.round(cert.witness.coords, 6).tolist()} "
-                 f"(k={cert.k}) has rank {cert.rank_in_target} in target but "
-                 f"{cert.rank_in_component} in component")
-    else:
-        data = {"search_stats": {str(kk): st for kk, st in verdict.stats.items()}}
-        human = "NO_OBSTRUCTION_FOUND (not a feasibility proof)"
-        if verdict.range_test.contained:
-            human = (f"NO_OBSTRUCTION_FOUND: range containment proven (leak "
-                     f"{verdict.range_test.leak:.1e}), so no locus scan; the component "
-                     f"can appear with weight up to p_max={verdict.range_test.p_max:.6g}")
-        elif verdict.refused:
-            human = (f"NO_OBSTRUCTION_FOUND: no locus scan, {verdict.refused} "
-                     "(not a feasibility proof)")
-    data["range"] = asdict(verdict.range_test)
-    data["refused"] = verdict.refused
-    return _emit(args, _report(args, "check-mix", inputs, verdict.status, data), human)
+        data.update(asdict(cert), witness=complex_to_pairs(cert.witness.coords))
+    return _emit(args, _report(args, "check-mix", inputs, verdict.status, data),
+                 f"{verdict.status}: {verdict.reason}")
 
 
 def _cmd_bounds(args, tol: ToleranceConfig) -> int:

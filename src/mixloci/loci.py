@@ -92,7 +92,11 @@ class Pencil:
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.blocks.shape[1], self.blocks.shape[2]
+        shape = self.blocks.shape
+        if len(shape) != 3 or 0 in shape:
+            raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
+                                f"least 1, got {shape}")
+        return shape[1], shape[2]
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
         """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols),
@@ -187,12 +191,10 @@ def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np
 
 
 def _check_blocks(p: Pencil) -> None:
-    """Blocks a locus computation can read: (ambient, rows, cols), each at
-    least 1, with finite entries.  Once per search: the kernel's per-row
-    pencils are built from checked blocks."""
-    if p.blocks.ndim != 3 or 0 in p.blocks.shape:
-        raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
-                            f"least 1, got {p.blocks.shape}")
+    """Blocks a locus computation can read: of a block shape, with finite
+    entries.  Once per search: the kernel's per-row pencils are built from
+    checked blocks."""
+    p.block_shape  # raises ShapeMismatch unless (ambient, rows, cols), each at least 1
     if not np.isfinite(p.blocks).all():
         raise ParameterOutOfRange("pencil blocks must be finite")
 
@@ -499,9 +501,11 @@ def _loci_empty(pencils, k: int, config: SearchConfig,
         loci = (locus_zero(p, tol) for p in pencils)
         return [LocusVerdict("EMPTY_EXACT") if locus.is_empty
                 else LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0]) for locus in loci]
-    ambient = []  # a trivial locus's witness e_0 needs its pencil's ambient dimension
-    samples = _sample_loci((ambient.append(p.ambient_dim) or p for p in pencils), k, config, tol)
-    return [_sampled_verdict(d, sample) for d, sample in zip(ambient, samples)]
+    # a trivial locus's witness e_0 needs its pencil's ambient dimension, shape[0],
+    # indexed only once _sample_loci has checked the shape
+    shapes = []
+    samples = _sample_loci((shapes.append(p.blocks.shape) or p for p in pencils), k, config, tol)
+    return [_sampled_verdict(shape[0], sample) for shape, sample in zip(shapes, samples)]
 
 
 def _sampled_verdict(ambient: int, sample: LocusSample) -> LocusVerdict:

@@ -57,16 +57,15 @@ class RangeContainment:
 
 @dataclass(frozen=True)
 class MixVerdict:
-    """Every verdict carries the range test, which runs first.  `stats` holds
-    one entry per k scanned.  `refused` says why no scan ran although the range
-    test did not prove containment; it is None whenever the scan ran or
-    containment was proven."""
+    """Every verdict carries the range test, which runs first, and `reason`,
+    one line saying why the status holds.  `stats` holds one entry per k
+    scanned."""
 
     status: Literal["INFEASIBLE", "NO_OBSTRUCTION_FOUND"]
     range_test: RangeContainment
+    reason: str
     certificate: MixCertificate | None = None
     stats: dict = field(default_factory=dict)
-    refused: str | None = None
 
 
 @dataclass(frozen=True)
@@ -223,13 +222,13 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     below the target pencil's block bound (InvalidK beyond).  At k at or above
     the component pencil's block bound every point lies in V^k(component), so
     no certificate exists there: k=None scans every k below both bounds,
-    cheapest (exact k=0) first, and an explicit such k runs no scan and is
-    refused.  A NO_OBSTRUCTION_FOUND verdict is a semidecision, not a
-    feasibility proof.  When range(component) lies in range(target), V^k(target)
-    lies in every V^k(component), so no scan can certify and none runs.  Nor
-    does one run when a target eigenvalue lies within the guard band of the
-    rank cut: a component there may be cut out of the target's pencil, and a
-    certificate against it would be false.
+    cheapest (exact k=0) first, and an explicit such k runs no scan.  A
+    NO_OBSTRUCTION_FOUND verdict is a semidecision, not a feasibility proof.
+    When range(component) lies in range(target), V^k(target) lies in every
+    V^k(component), so no scan can certify and none runs.  Nor does one run
+    when a target eigenvalue lies within the guard band of the rank cut: a
+    component there may be cut out of the target's pencil, and a certificate
+    against it would be false.  The verdict's reason names the path taken.
     """
     _check_pair(target, component)
     target_pencil = spectral_pencil(target, side, tol)
@@ -238,19 +237,22 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         raise InvalidK(f"k={k} outside [0, {max_k})")
     range_test = range_containment(target, component, tol)
     if range_test.contained:
-        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test)
+        return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
+                          f"range containment proven (leak {range_test.leak:.1e}), so no "
+                          f"locus scan; the component can appear with weight up to "
+                          f"p_max={range_test.p_max:.6g}")
     cut = rank_cut(target, tol)
     near = [lam for lam in target.eigenvalues() if cut / _GUARD <= lam <= _GUARD * cut]
     if near:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
-                          refused=f"target eigenvalue {near[0]:.3e} within {_GUARD:g}x of "
-                                  f"the rank cut {cut:.3e}")
+                          f"no locus scan, target eigenvalue {near[0]:.3e} within {_GUARD:g}x "
+                          f"of the rank cut {cut:.3e} (not a feasibility proof)")
     component_pencil = spectral_pencil(component, side, tol)
     bound = component_pencil.max_rank_bound()
     if k is not None and k >= bound:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
-                          refused=f"k={k} reaches the component pencil's block bound {bound}, "
-                                  "so every point lies in its V^k")
+                          f"no locus scan, k={k} reaches the component pencil's block bound "
+                          f"{bound}, so every point lies in its V^k (not a feasibility proof)")
     all_stats = {}
     for kk in (range(min(max_k, bound)) if k is None else [k]):
         points, stats = _locus_candidates(target_pencil, kk, config, tol)
@@ -258,8 +260,13 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         for point in points:
             cert = _certificate_at(point, target_pencil, component_pencil, side, kk, tol)
             if cert is not None:
-                return MixVerdict("INFEASIBLE", range_test, cert, all_stats)
-    return MixVerdict("NO_OBSTRUCTION_FOUND", range_test, stats=all_stats)
+                return MixVerdict("INFEASIBLE", range_test,
+                                  f"witness {np.round(point.coords, 6).tolist()} (k={kk}) has "
+                                  f"rank {cert.rank_in_target} in target but "
+                                  f"{cert.rank_in_component} in component", cert, all_stats)
+    return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
+                      "no certificate found in the scanned loci (not a feasibility proof)",
+                      stats=all_stats)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 
-from mixloci import BipartiteShape, mix, random_density
+from mixloci import BipartiteShape, MixCertificate, mix, random_density
 from mixloci.io import LoadedState, StateFileError, complex_to_pairs, load_state
 
 SRC = FIXTURES.parent / "src"
@@ -76,7 +77,7 @@ def test_check_mix_example2():
     assert abs(witness[0]) <= 1e-8
     assert doc["data"]["rank_in_component"] == 3
     assert doc["data"]["range"]["contained"] is False and doc["data"]["range"]["p_max"] is None
-    assert doc["data"]["refused"] is None
+    assert not doc["data"]["reason"].startswith("no locus scan")
 
 
 def test_check_mix_identical_files():
@@ -88,7 +89,7 @@ def test_check_mix_identical_files():
     assert doc["data"]["search_stats"] == {}
     assert doc["data"]["range"]["contained"] is True
     assert doc["data"]["range"]["p_max"] == pytest.approx(1.0, abs=1e-9)
-    assert doc["data"]["refused"] is None
+    assert not doc["data"]["reason"].startswith("no locus scan")
     assert "containment proven" in run_cli(*args).stdout
 
 
@@ -105,7 +106,7 @@ def test_check_mix_refuses_at_the_eigenvalue_cut(tmp_path):
     doc = json.loads(run_cli("--json", *args).stdout)
     assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
     assert doc["data"]["range"]["contained"] is False
-    assert doc["data"]["refused"].startswith("target eigenvalue")
+    assert doc["data"]["reason"].startswith("no locus scan, target eigenvalue")
     assert "no locus scan" in run_cli(*args).stdout
 
 
@@ -116,8 +117,37 @@ def test_check_mix_refuses_at_the_component_bound():
     doc = json.loads(run_cli("--json", *args).stdout)
     assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
     assert doc["data"]["range"]["contained"] is False
-    assert "k=1 reaches the component pencil's block bound 1" in doc["data"]["refused"]
+    assert "k=1 reaches the component pencil's block bound 1" in doc["data"]["reason"]
     assert "no locus scan" in run_cli(*args).stdout
+
+
+NEAR_CUT = {  # target eigenvalue 1e-8 near its rank cut 4e-8, component on its eigenvector
+    "target": {"m": 2, "n": 2, "normalize": False,
+               "matrix": complex_to_pairs(np.diag([0.99999999, 1e-8, 0, 0]))},
+    "component": {"m": 2, "n": 2, "matrix": complex_to_pairs(np.diag([0, 1, 0, 0]))},
+}
+
+
+@pytest.mark.parametrize("target, component, k, reason", [
+    ("example2_target", "example2_component", "2", "witness "),
+    ("example2_target", "example2_target", "all", "range containment proven"),
+    ("target", "component", "all", "no locus scan, target eigenvalue 1.000e-08 within 10x"),
+    ("example1", "bell", "1", "no locus scan, k=1 reaches the component pencil's block bound"),
+    ("example2_target", "example2_component", "1", "no certificate found"),
+], ids=["infeasible", "contained", "near_cut", "component_bound", "none_found"])
+def test_check_mix_reports_one_schema_and_its_reason(tmp_path, target, component, k, reason):
+    for name, doc in NEAR_CUT.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    paths = [tmp_path / f"{name}.json" if name in NEAR_CUT else fixture(f"{name}.json")
+             for name in (target, component)]
+    args = ("check-mix", "--target", paths[0], "--component", paths[1], "--k", k)
+    doc = json.loads(run_cli("--json", *args).stdout)
+    data = doc["data"]
+    assert data["reason"].startswith(reason)
+    assert run_cli(*args).stdout == f"{doc['verdict']}: {data['reason']}\n"
+    certificate = {f.name for f in fields(MixCertificate)}
+    assert set(data) - certificate == {"range", "reason", "search_stats"}
+    assert (set(data) >= certificate) == (doc["verdict"] == "INFEASIBLE")
 
 
 def test_bounds_examples():

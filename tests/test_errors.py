@@ -6,9 +6,9 @@ import pytest
 from mixloci import (BipartiteShape, GenericityQuery, InvalidK, MixLociError, NotHermitian,
                      ParameterOutOfRange, Pencil, ProjectivePoint, ShapeMismatch,
                      WeightSumInvalid, ZeroVector, density_matrix_from_array, errors,
-                     hermitian_eig, hermitian_form, locus_zero, mix, partial_trace,
-                     pencil_from_ensemble, random_density, range_containment, rank_at,
-                     sample_locus, spectral_pencil)
+                     hermitian_eig, hermitian_form, is_locus_empty, locus_zero, mix,
+                     partial_trace, pencil_from_ensemble, random_density, range_containment,
+                     rank_at, sample_locus, spectral_pencil)
 from mixloci.loci import LinearLocus
 
 from conftest import load_fixture
@@ -58,6 +58,10 @@ CASES = {
                                ShapeMismatch),
     "sample_locus_nan_blocks": (lambda: sample_locus(Pencil(np.full((2, 2, 2), np.nan)), 1),
                                 ParameterOutOfRange),
+    "max_rank_bound_2d_blocks": (lambda: Pencil(np.ones((2, 3))).max_rank_bound(),
+                                 ShapeMismatch),
+    "is_locus_empty_0d_blocks": (lambda: is_locus_empty(Pencil(np.array(1.0)), 1),
+                                 ShapeMismatch),
     "mix_no_states": (lambda: mix([1.0], []), WeightSumInvalid),
 }
 

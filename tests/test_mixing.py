@@ -205,7 +205,7 @@ def test_no_certificate_at_the_eigenvalue_cut(eps):
         verdict = check_component_necessary(mix([1 - eps, eps], [a, b]), b, "A", None,
                                             SearchConfig(starts=16, seed=t), TOL)
         assert verdict.status == "NO_OBSTRUCTION_FOUND"
-        assert verdict.range_test.contained or verdict.refused
+        assert verdict.reason.startswith("no locus scan, target eigenvalue")
 
 
 def test_check_component_necessary_errors():
@@ -266,7 +266,8 @@ def test_scan_stops_below_the_component_pencils_block_bound(monkeypatch):
                     searched.clear()
                     verdict = check_component_necessary(target, component, side, None,
                                                         CONFIG, TOL)
-                    assert not verdict.range_test.contained and verdict.refused is None
+                    assert not verdict.range_test.contained
+                    assert not verdict.reason.startswith("no locus scan")
                     assert searched == [k for k in verdict.stats if k > 0]
                     assert all(k < min(max_k, bound) for k in searched)
                     status, cert = reference_scan(target, component, side)
@@ -281,8 +282,9 @@ def test_scan_stops_below_the_component_pencils_block_bound(monkeypatch):
                         verdict = check_component_necessary(target, component, side, k,
                                                             CONFIG, TOL)
                         assert verdict.status == "NO_OBSTRUCTION_FOUND" and verdict.stats == {}
-                        assert searched == [] and verdict.refused.startswith(
-                            f"k={k} reaches the component pencil's block bound {bound}")
+                        assert searched == [] and verdict.reason.startswith(
+                            f"no locus scan, k={k} reaches the component pencil's block "
+                            f"bound {bound}")
     assert statuses == {"INFEASIBLE", "NO_OBSTRUCTION_FOUND"}
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 
 from conftest import FIXTURES
 
@@ -47,3 +48,13 @@ def test_readme_examples_run_the_library_quick_start():
     done = readme_examples.run_python(["-c", code])
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "INFEASIBLE"
+
+
+def test_same_output_names_the_json_paths_that_differ():
+    differences = load_tool("same_output").differences
+    old = {"data": {"range": {"leak": 1.0}, "refused": None}, "verdict": "NO_OBSTRUCTION_FOUND"}
+    new = {"data": {"range": {"leak": 0.5}, "reason": "why"}, "verdict": "NO_OBSTRUCTION_FOUND"}
+    reference, result = (0, json.dumps(old), ""), (0, json.dumps(new), "")
+    assert differences(reference, result) == ["data.range.leak", "data.reason", "data.refused"]
+    assert differences(reference, reference) == []
+    assert differences(reference, (2, "", "error: bad\n")) == ["exit", "stdout", "stderr"]

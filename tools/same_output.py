@@ -5,10 +5,12 @@
 Runs each request below as `python -m mixloci.cli --json ...` with the tree's
 src/ on PYTHONPATH, once per tree and per OPENBLAS_NUM_THREADS value (1 and
 2), one subprocess at a time.  Prints every request whose stdout, stderr or
-exit code differs from the old tree's at one thread, and exits 1 if any does.  The
-state files come from this repository's fixtures/, but for INVALID_STATES, which
-are written once to a temporary directory; both trees read the same files.
-Only the standard library is used.
+exit code differs from the old tree's at one thread, with what differs: the
+dotted paths of the --json values (data.reason, say), or stdout, stderr or
+exit; exits 1 if any request differs.  The state files come from this
+repository's fixtures/, but for INVALID_STATES and NEAR_CUT_STATES, which are
+written once to a temporary directory; both trees read the same files.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +35,20 @@ INVALID_STATES = {
 }
 
 
+def _diagonal(values) -> list[list[float]]:
+    return [[values[i] if i == j else 0, 0] for i in range(len(values))
+            for j in range(len(values))]
+
+
+# a 2x2 target with an eigenvalue 1e-8 near its rank cut 4e-8, and a component
+# on that eigenvector: check-mix scans no locus
+NEAR_CUT_STATES = {
+    "near_cut_target.json": {"m": 2, "n": 2, "normalize": False,
+                             "matrix": _diagonal([0.99999999, 1e-8, 0, 0])},
+    "near_cut_component.json": {"m": 2, "n": 2, "matrix": _diagonal([0, 1, 0, 0])},
+}
+
+
 def _fixture(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -48,19 +64,20 @@ MULTI_BATCH = (
 )
 
 
-def requests(invalid_states: Path) -> list[list[str]]:
-    """argv lists after `--json`, INVALID_STATES read from the directory
-    invalid_states: the searches on the fixtures, the mixture
+def requests(written: Path) -> list[list[str]]:
+    """argv lists after `--json`, INVALID_STATES and NEAR_CUT_STATES read
+    from the directory written: the searches on the fixtures, the mixture
     checks on example2 both ways, of example2_target against itself (the
-    range-contained path) and of bell in example1 (a component whose pencil's
-    block bound, 1, is below the target's), bounds on every fixture, a
-    Theorem-1 and a Theorem-2 majorization, the matrix-form fixture's loci
-    and, at a rank cut above its every eigenvalue, its majorization and
-    bounds, seeded genericity trials, then genericity requests that fit one
-    kernel batch, non-square ones and one on 8x8 states included, the
-    MULTI_BATCH ones, then requests that exit 2 with one `error:` line, one
-    per CLI error class and check: INVALID_STATES and the majorization
-    mixture's count and shape checks among them."""
+    range-contained path), of bell in example1 (a component whose pencil's
+    block bound, 1, is below the target's) and of the near-cut pair, bounds
+    on every fixture, a Theorem-1 and a Theorem-2 majorization, the
+    matrix-form fixture's loci and, at a rank cut above its every
+    eigenvalue, its majorization and bounds, seeded genericity trials, then
+    genericity requests that fit one kernel batch, non-square ones and one
+    on 8x8 states included, the MULTI_BATCH ones, then requests that exit 2
+    with one `error:` line, one per CLI error class and check:
+    INVALID_STATES and the majorization mixture's count and shape checks
+    among them."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -77,6 +94,8 @@ def requests(invalid_states: Path) -> list[list[str]]:
     bell = ["check-mix", "--target", _fixture("example1.json"),
             "--component", _fixture("bell.json")]
     reqs += [[*bell, "--k", "all"], [*bell, "--k", "1"], [*bell, "--side", "B", "--k", "1"]]
+    near_target, near_component = (str(written / name) for name in NEAR_CUT_STATES)
+    reqs.append(["check-mix", "--target", near_target, "--component", near_component])
     reqs += [["bounds", "--state", str(path)] for path in sorted(FIXTURES.glob("*.json"))]
     reqs.append(["majorize", "--p", "0.25,0.25,0.25,0.25",
                  "--target", _fixture("maximally_mixed_2x2.json")])
@@ -120,7 +139,7 @@ def requests(invalid_states: Path) -> list[list[str]]:
         ["--seed", "-1", "bounds", "--state", _fixture("example3.json")],
         ["bounds", "--state", _fixture("missing.json")],
         ["locus", "--state", example4, "--k", "1", "--starts", "0"],
-        *(["bounds", "--state", str(invalid_states / name)] for name in INVALID_STATES),
+        *(["bounds", "--state", str(written / name)] for name in INVALID_STATES),
         ["majorize", "--target", pair[0], "--components", *pair, "--weights", "1"],
         ["majorize", "--target", _fixture("example1.json"),
          "--components", _fixture("example3.json"), "--weights", "1"],
@@ -140,10 +159,37 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/same_output.py OLD_TREE NEW_TREE", file=sys.stderr)
         return 2
     old, new = (Path(tree).resolve() for tree in argv)
-    with tempfile.TemporaryDirectory() as invalid_states:
-        for name, doc in INVALID_STATES.items():
-            (Path(invalid_states) / name).write_text(json.dumps(doc))
-        return compare(old, new, requests(Path(invalid_states)))
+    with tempfile.TemporaryDirectory() as written:
+        for name, doc in {**INVALID_STATES, **NEAR_CUT_STATES}.items():
+            (Path(written) / name).write_text(json.dumps(doc))
+        return compare(old, new, requests(Path(written)))
+
+
+def differences(reference: tuple[int, str, str], result: tuple[int, str, str]) -> list[str]:
+    """What of result, a run's (exit code, stdout, stderr), differs from
+    reference: `exit`, `stderr`, and the dotted paths of the JSON values in
+    stdout that differ, are added or are removed, or `stdout` where either
+    side's stdout is no JSON document or only its text differs."""
+
+    def paths(old, new, prefix):
+        if not (isinstance(old, dict) and isinstance(new, dict)):
+            return [] if old == new else [prefix or "stdout"]
+        found = []
+        for key in sorted(old.keys() | new.keys()):
+            path = f"{prefix}.{key}" if prefix else key
+            found += ([path] if key not in old or key not in new
+                      else paths(old[key], new[key], path))
+        return found
+
+    found = ["exit"] if reference[0] != result[0] else []
+    if reference[1] != result[1]:
+        try:
+            found += paths(json.loads(reference[1]), json.loads(result[1]), "") or ["stdout"]
+        except json.JSONDecodeError:
+            found.append("stdout")
+    if reference[2] != result[2]:
+        found.append("stderr")
+    return found
 
 
 def compare(old: Path, new: Path, reqs: list[list[str]]) -> int:
@@ -155,7 +201,10 @@ def compare(old: Path, new: Path, reqs: list[list[str]]) -> int:
         odd = [label for label, result in runs.items() if result != reference]
         if odd:
             differing += 1
-            print(f"differs ({', '.join(odd)}): {' '.join(req)}", flush=True)
+            found = dict.fromkeys(path for label in odd
+                                  for path in differences(reference, runs[label]))
+            print(f"differs ({', '.join(odd)}): {' '.join(req)}\n  in {', '.join(found)}",
+                  flush=True)
         print(f"[{i}/{len(reqs)}] exit {reference[0]}", file=sys.stderr, flush=True)
     print(f"{differing} of {len(reqs)} requests differ")
     return 1 if differing else 0
