@@ -82,9 +82,16 @@ def _running_sum(terms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pencil:
-    """The family r -> sum_i r_i blocks[i]; blocks stacked as (ambient, rows, cols)."""
+    """The family r -> sum_i r_i blocks[i]; blocks stacked as (ambient, rows, cols),
+    each at least 1, checked here so that every member can read them."""
 
     blocks: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.blocks)
+        if len(shape) != 3 or 0 in shape:
+            raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
+                                f"least 1, got {shape}")
 
     @property
     def ambient_dim(self) -> int:
@@ -92,16 +99,12 @@ class Pencil:
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        shape = self.blocks.shape
-        if len(shape) != 3 or 0 in shape:
-            raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
-                                f"least 1, got {shape}")
-        return shape[1], shape[2]
+        return self.blocks.shape[1], self.blocks.shape[2]
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
         """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols),
-        blocks[i] being one block or one per row, (S, rows, cols).  A running sum
-        in coordinate order, not BLAS, so no row depends on the others."""
+        blocks[i] being one block or, for a _RowPencil, one per row, (S, rows, cols).
+        A running sum in coordinate order, not BLAS, so no row depends on the others."""
         return _running_sum(np.asarray(coords)[..., i, None, None] * self.blocks[i]
                             for i in range(self.ambient_dim))
 
@@ -111,6 +114,14 @@ class Pencil:
     def stacked(self) -> np.ndarray:
         """(rows*cols) x ambient matrix whose column i is vec(blocks[i])."""
         return self.blocks.reshape(self.ambient_dim, -1).T
+
+
+class _RowPencil(Pencil):
+    """The kernel's pencil with one block per row, blocks (ambient, S, rows, cols),
+    built each round from blocks the search has checked: only evaluate reads it."""
+
+    def __post_init__(self):
+        pass
 
 
 @dataclass(frozen=True)
@@ -191,10 +202,9 @@ def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np
 
 
 def _check_blocks(p: Pencil) -> None:
-    """Blocks a locus computation can read: of a block shape, with finite
-    entries.  Once per search: the kernel's per-row pencils are built from
+    """Blocks a locus computation can read: finite, their shape checked by
+    Pencil.  Once per search: the kernel's per-row pencils are built from
     checked blocks."""
-    p.block_shape  # raises ShapeMismatch unless (ambient, rows, cols), each at least 1
     if not np.isfinite(p.blocks).all():
         raise ParameterOutOfRange("pencil blocks must be finite")
 
@@ -235,7 +245,7 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
 def _pencil_svd(stack: np.ndarray, search: np.ndarray, R: np.ndarray):
     """Full SVD M = U S V^dagger per row j of R, M of blocks stack[search[j]] read
     for this call: a thin V lacks the directions M kills when cols > rows."""
-    return np.linalg.svd(Pencil(stack[search].swapaxes(0, 1)).evaluate(R), full_matrices=True)
+    return np.linalg.svd(_RowPencil(stack[search].swapaxes(0, 1)).evaluate(R), full_matrices=True)
 
 
 def _normal_map(stack: np.ndarray, search: np.ndarray, U: np.ndarray, Vh: np.ndarray, k: int):
@@ -501,11 +511,10 @@ def _loci_empty(pencils, k: int, config: SearchConfig,
         loci = (locus_zero(p, tol) for p in pencils)
         return [LocusVerdict("EMPTY_EXACT") if locus.is_empty
                 else LocusVerdict("NONEMPTY_WITNESS", witness=locus.points()[0]) for locus in loci]
-    # a trivial locus's witness e_0 needs its pencil's ambient dimension, shape[0],
-    # indexed only once _sample_loci has checked the shape
-    shapes = []
-    samples = _sample_loci((shapes.append(p.blocks.shape) or p for p in pencils), k, config, tol)
-    return [_sampled_verdict(shape[0], sample) for shape, sample in zip(shapes, samples)]
+    # a trivial locus's witness e_0 needs its pencil's ambient dimension
+    ambients = []
+    samples = _sample_loci((ambients.append(p.ambient_dim) or p for p in pencils), k, config, tol)
+    return [_sampled_verdict(ambient, sample) for ambient, sample in zip(ambients, samples)]
 
 
 def _sampled_verdict(ambient: int, sample: LocusSample) -> LocusVerdict:

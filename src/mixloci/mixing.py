@@ -16,15 +16,14 @@ from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch
 from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, locus_zero,
                    sample_locus, spectral_pencil)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
-from .states import (BipartiteShape, DensityMatrix, Ensemble, Side, _check_mixture,
-                     _check_weights, partial_trace, random_density, rank_cut, schmidt_rank,
-                     support)
+from .states import (BipartiteShape, DensityMatrix, Side, _check_mixture, _check_weights,
+                     partial_trace, random_density, rank_cut, support)
 
 __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
            "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
            "check_reduced_constraints", "range_containment", "check_component_necessary",
            "ZeroLoci", "schmidt_rank_cap", "forces_separable", "excludes_max_schmidt_rank",
-           "check_ensemble_schmidt", "generic_empty_predicate", "monte_carlo_genericity"]
+           "generic_empty_predicate", "monte_carlo_genericity"]
 
 _SUM_TOL = 1e-9
 _GUARD = 10.0
@@ -320,14 +319,6 @@ def forces_separable(rho: DensityMatrix, tol: ToleranceConfig = ToleranceConfig(
 def excludes_max_schmidt_rank(rho: DensityMatrix,
                               tol: ToleranceConfig = ToleranceConfig()) -> bool:
     return ZeroLoci.of(rho, tol).excludes_max_schmidt_rank
-
-
-def check_ensemble_schmidt(schmidt_number_lower_bound: int, e: Ensemble,
-                           tol: ToleranceConfig = ToleranceConfig()) -> bool:
-    """Necessary check: some member must reach the supplied Schmidt-number bound."""
-    if schmidt_number_lower_bound < 1:
-        raise ParameterOutOfRange("Schmidt-number lower bound must be >= 1")
-    return max(schmidt_rank(psi, tol) for _, psi in e.members) >= schmidt_number_lower_bound
 
 
 def generic_empty_predicate(q: GenericityQuery) -> bool:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra with a single shared tolerance policy.
 
 All rank decisions in the package go through :class:`ToleranceConfig` so that
-locus membership, null spaces and Schmidt ranks stay mutually consistent.
+locus membership, null spaces and rank caps stay mutually consistent.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import NotHermitian, ParameterOutOfRange, ShapeMismatch
 
-__all__ = ["ToleranceConfig", "EigResult", "SVDResult", "as_matrix", "hermitian_eig", "svd",
-           "numerical_rank", "null_space"]
+__all__ = ["ToleranceConfig", "EigResult", "as_matrix", "hermitian_eig", "numerical_rank",
+           "null_space"]
 
 _HERM_REL = 1e-10
 
@@ -55,15 +55,6 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class SVDResult:
-    """Singular values sorted nonincreasing; U and V with orthonormal columns."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-
 def as_matrix(entries) -> np.ndarray:
     """Coerce input to a finite 2-D complex array."""
     matrix = np.asarray(entries, dtype=complex)
@@ -87,13 +78,6 @@ def hermitian_eig(H, what: str = "matrix") -> EigResult:
     eigenvalues, eigenvectors = np.linalg.eigh((H + H.conj().T) / 2.0)
     order = np.argsort(eigenvalues)[::-1]
     return EigResult(eigenvalues[order], eigenvectors[:, order])
-
-
-def svd(M) -> SVDResult:
-    """Full singular value decomposition M = U diag(s) V^dagger (U and V square)."""
-    M = as_matrix(M)
-    U, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return SVDResult(s, U, Vh.conj().T)
 
 
 def singular_values(M) -> np.ndarray:

@@ -12,12 +12,11 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ParameterOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
-from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig, numerical_rank, svd
+from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig
 
-__all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix",
-           "SchmidtDecomposition", "make_pure", "make_ensemble", "schmidt", "schmidt_rank",
-           "density_from_ensemble", "density_matrix_from_array", "eigen_ensemble", "rank_cut",
-           "support", "mix", "partial_trace", "random_pure", "random_density"]
+__all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix", "make_pure",
+           "make_ensemble", "density_from_ensemble", "density_matrix_from_array",
+           "eigen_ensemble", "rank_cut", "support", "mix", "partial_trace", "random_density"]
 
 Side = Literal["A", "B"]
 
@@ -87,14 +86,6 @@ class DensityMatrix:
         return self.spectrum.eigenvalues
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    coefficients: np.ndarray
-    rank: int
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-
 def make_pure(raw_amplitudes, shape: BipartiteShape) -> PureState:
     """Normalize a raw amplitude vector into a PureState."""
     amps = np.asarray(raw_amplitudes, dtype=complex).ravel()
@@ -131,18 +122,6 @@ def make_ensemble(shape: BipartiteShape, members: Sequence[tuple[float, PureStat
         weights = weights / total
     return Ensemble(shape, tuple((float(p), psi) for p, (_, psi) in zip(weights, members)),
                     normalized=rescaled)
-
-
-def schmidt(psi: PureState, tol: ToleranceConfig = ToleranceConfig()) -> SchmidtDecomposition:
-    """Schmidt decomposition: singular values of the m x n coefficient matrix."""
-    res = svd(psi.coefficient_matrix())
-    d = tol.rank(res.singular_values, psi.shape.m, psi.shape.n)
-    return SchmidtDecomposition(res.singular_values[:d], d,
-                                res.left_vectors[:, :d], res.right_vectors[:, :d])
-
-
-def schmidt_rank(psi: PureState, tol: ToleranceConfig = ToleranceConfig()) -> int:
-    return numerical_rank(psi.coefficient_matrix(), tol)
 
 
 def density_matrix_from_array(matrix, shape: BipartiteShape) -> DensityMatrix:
@@ -228,12 +207,6 @@ def partial_trace(rho: DensityMatrix, side: Side) -> np.ndarray:
     m, n = rho.shape.m, rho.shape.n
     tensor = rho.matrix.reshape(m, n, m, n)
     return np.einsum("ijil->jl" if side == "A" else "ijkj->ik", tensor)
-
-
-def random_pure(shape: BipartiteShape, seed) -> PureState:
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(shape.dim) + 1j * rng.standard_normal(shape.dim)
-    return make_pure(amps, shape)
 
 
 def random_density(shape: BipartiteShape, rank: int, seed) -> DensityMatrix:

@@ -13,8 +13,7 @@ from mixloci import (BipartiteShape, GenericityQuery, ToleranceConfig,
                      excludes_max_schmidt_rank, forces_separable, hermitian_form,
                      in_locus, locus_zero, majorizes, make_ensemble, make_pure, mix,
                      monte_carlo_genericity, numerical_rank, pencil_from_ensemble,
-                     random_density, random_pure, rank_at, sample_locus,
-                     schmidt_rank_cap)
+                     random_density, rank_at, sample_locus, schmidt_rank_cap)
 from mixloci.loci import ProjectivePoint, SearchConfig
 from mixloci.states import density_matrix_from_array
 
@@ -134,7 +133,9 @@ def test_criterion_07_majorization_suite():
         for trial in range(100):
             count = int(rng.integers(2, 5))
             probs = rng.dirichlet(np.ones(count))
-            members = [(float(p), random_pure(S22, rng)) for p in probs]
+            members = [(float(p), make_pure(rng.standard_normal(4)
+                                            + 1j * rng.standard_normal(4), S22))
+                       for p in probs]
             rho = density_from_ensemble(make_ensemble(S22, members))
             assert check_pure_mix_eigen(rho, probs)
         for trial in range(100):

@@ -62,6 +62,9 @@ CASES = {
                                  ShapeMismatch),
     "is_locus_empty_0d_blocks": (lambda: is_locus_empty(Pencil(np.array(1.0)), 1),
                                  ShapeMismatch),
+    "evaluate_2d_blocks": (lambda: Pencil(np.ones((2, 3))).evaluate(np.ones(2)), ShapeMismatch),
+    "stacked_2d_blocks": (lambda: Pencil(np.ones((2, 3))).stacked(), ShapeMismatch),
+    "ambient_dim_0d_blocks": (lambda: Pencil(np.array(1.0)).ambient_dim, ShapeMismatch),
     "mix_no_states": (lambda: mix([1.0], []), WeightSumInvalid),
 }
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceConfig,
-                     WeightSumInvalid, check_component_necessary, check_ensemble_schmidt,
-                     check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,
-                     density_from_ensemble, eigen_ensemble, excludes_max_schmidt_rank,
-                     forces_separable, generic_empty_predicate, hermitian_form, majorizes,
-                     make_ensemble, make_pure, mix, monte_carlo_genericity,
-                     pencil_from_ensemble, random_density, random_pure, schmidt_rank_cap)
+                     WeightSumInvalid, check_component_necessary, check_mixed_mix_eigen,
+                     check_pure_mix_eigen, check_reduced_constraints, density_from_ensemble,
+                     eigen_ensemble, excludes_max_schmidt_rank, forces_separable,
+                     generic_empty_predicate, hermitian_form, majorizes, make_ensemble,
+                     make_pure, mix, monte_carlo_genericity, pencil_from_ensemble,
+                     random_density, schmidt_rank_cap)
 from mixloci import is_locus_empty, loci, mixing
 from mixloci.errors import InvalidK, ParameterOutOfRange
 from mixloci.loci import SearchConfig, locus_zero, rank_at, spectral_pencil
@@ -75,7 +75,8 @@ def test_check_pure_mix_eigen_constructed(tol):
     for trial in range(100):
         count = int(rng.integers(2, 5))
         probs = rng.dirichlet(np.ones(count))
-        members = [(float(p), random_pure(S22, rng)) for p in probs]
+        members = [(float(p), make_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                                        S22)) for p in probs]
         rho = density_from_ensemble(make_ensemble(S22, members))
         assert check_pure_mix_eigen(rho, probs)
 
@@ -352,12 +353,11 @@ def test_schmidt_rank_cap_examples():
 
 
 def test_schmidt_rank_cap_bounds_eigen_ensemble_members():
-    from mixloci import schmidt_rank
     for name in ("example1.json", "example2_target.json", "example3.json"):
         rho = load_fixture(name).density
         cap = schmidt_rank_cap(rho, TOL)
         members = eigen_ensemble(rho, TOL).members
-        assert max(schmidt_rank(psi, TOL) for _, psi in members) <= cap
+        assert max(numerical_rank(psi.coefficient_matrix(), TOL) for _, psi in members) <= cap
 
 
 def test_forces_separable():
@@ -378,16 +378,6 @@ def test_excludes_max_schmidt_rank():
     assert excludes_max_schmidt_rank(load_fixture("example3.json").density, TOL)
     assert excludes_max_schmidt_rank(load_fixture("example1.json").density, TOL)
     assert not excludes_max_schmidt_rank(load_fixture("bell.json").density, TOL)
-
-
-def test_check_ensemble_schmidt():
-    e1 = load_fixture("example1.json").ensemble
-    assert check_ensemble_schmidt(1, e1, TOL)
-    assert not check_ensemble_schmidt(2, e1, TOL)   # both members are product states
-    e2 = load_fixture("example2_component.json").ensemble
-    assert check_ensemble_schmidt(2, e2, TOL)       # rank-3 members
-    with pytest.raises(ParameterOutOfRange):
-        check_ensemble_schmidt(0, e1, TOL)
 
 
 def test_generic_empty_predicate():

@@ -8,7 +8,7 @@ import pytest
 from mixloci import (BipartiteShape, NotHermitian, PureState, ShapeMismatch, ToleranceConfig,
                      WeightSumInvalid, ZeroVector, density_from_ensemble,
                      density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
-                     mix, partial_trace, random_density, random_pure, schmidt)
+                     mix, numerical_rank, partial_trace, random_density)
 from mixloci.errors import ParameterOutOfRange
 from mixloci.io import StateFileError, load_state
 
@@ -38,36 +38,6 @@ def test_make_pure_errors():
         make_pure([0, 0], BipartiteShape(1, 2))
     with pytest.raises(ShapeMismatch):
         make_pure([1, 0, 0], S22)
-
-
-def test_schmidt_product_state():
-    dec = schmidt(make_pure([1, 0, 0, 0], S22), TOL)
-    assert dec.rank == 1
-    np.testing.assert_allclose(dec.coefficients, [1.0])
-
-
-def test_schmidt_bell_state():
-    dec = schmidt(bell(), TOL)
-    assert dec.rank == 2
-    np.testing.assert_allclose(dec.coefficients, [1 / np.sqrt(2)] * 2)
-
-
-def test_schmidt_permutation_state():
-    # (|12>+|23>+|31>)/sqrt(3): permutation coefficient matrix, full rank
-    amps = np.zeros(9)
-    amps[[1, 5, 6]] = 1
-    dec = schmidt(make_pure(amps, S33), TOL)
-    assert dec.rank == 3
-
-
-def test_schmidt_reconstruction():
-    rng = np.random.default_rng(2)
-    psi = random_pure(S33, rng)
-    dec = schmidt(psi, TOL)
-    coeff = sum(a * np.outer(u, v.conj())
-                for a, u, v in zip(dec.coefficients, dec.left_basis.T, dec.right_basis.T))
-    assert np.linalg.norm(coeff - psi.coefficient_matrix()) <= 1e-10
-    assert np.sum(dec.coefficients ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_density_from_single_member():
@@ -249,12 +219,6 @@ def test_random_density_is_its_ensemble_route_byte_for_byte(m, n):
                 assert ours.tobytes() == theirs.tobytes()
 
 
-def test_random_pure_rank_bound_and_determinism():
-    psi = random_pure(S33, seed=1)
-    assert schmidt(psi, TOL).rank in (1, 2, 3)
-    np.testing.assert_allclose(psi.amplitudes, random_pure(S33, seed=1).amplitudes)
-
-
 @pytest.mark.parametrize("shape", [S22, BipartiteShape(2, 3), S33, BipartiteShape(4, 4)])
 def test_eigen_ensemble_round_trip(shape):
     rng = np.random.default_rng(shape.m * 10 + shape.n)
@@ -278,16 +242,16 @@ def test_partial_trace_is_linear_under_mix():
 def test_schmidt_rank_one_iff_product():
     rng = np.random.default_rng(33)
     for trial in range(30):
-        psi = random_pure(S22, rng)
+        psi = make_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4), S22)
         # brute-force best product-state fit: top singular value of the 2x2
         # coefficient matrix equals 1 exactly for product states
         top = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)[0]
         is_product_fit = top > 1 - 1e-10
-        assert (schmidt(psi, TOL).rank == 1) == is_product_fit
+        assert (numerical_rank(psi.coefficient_matrix(), TOL) == 1) == is_product_fit
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         product = make_pure(np.kron(a, b), S22)
-        assert schmidt(product, TOL).rank == 1
+        assert numerical_rank(product.coefficient_matrix(), TOL) == 1
 
 
 def test_density_matrix_stores_its_read_only_spectrum():
