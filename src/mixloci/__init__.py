@@ -4,7 +4,7 @@ from .errors import (InvalidK, MixLociError, NotHermitian, ParameterOutOfRange, 
                      WeightSumInvalid, ZeroVector)
 from .loci import (LinearLocus, LocusSample, LocusVerdict, Pencil, ProjectivePoint,
                    SearchConfig, hermitian_form, in_locus, is_locus_empty, locus_zero,
-                   pencil_from_ensemble, rank_at, sample_locus, spectral_pencil)
+                   normal_rank, pencil_from_ensemble, rank_at, sample_locus, spectral_pencil)
 from .mixing import (GenericityQuery, GenericityReport, MixCertificate, MixVerdict,
                      RangeContainment, ZeroLoci, check_component_necessary,
                      check_mixed_mix_eigen, check_pure_mix_eigen, check_reduced_constraints,

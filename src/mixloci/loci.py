@@ -1,9 +1,10 @@
 """Rank-degeneracy loci of bipartite states via matrix pencils.
 
 A pencil is the linear family r -> sum_i r_i A_i built from the blocks of an
-ensemble's amplitude matrix.  The locus with rank bound k is handled exactly
-for k = 0 (a linear condition) and for k >= 1 by a multistart Gauss-Newton
-search for points where the (k+1)-th singular value vanishes.
+ensemble's amplitude matrix.  The locus with rank bound k is the whole space
+at k at or above the pencil's normal rank, where no search runs; below it, it
+is handled exactly for k = 0 (a linear condition) and for k >= 1 by a
+multistart Gauss-Newton search for points where sigma_{k+1} vanishes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .states import DensityMatrix, Ensemble, Side, _check_side, support
 
 __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
            "LocusVerdict", "pencil_from_ensemble", "spectral_pencil", "hermitian_form", "rank_at",
-           "in_locus", "locus_zero", "sample_locus", "is_locus_empty"]
+           "in_locus", "locus_zero", "normal_rank", "sample_locus", "is_locus_empty"]
 
 _POINT_TOL = 1e-9
 
@@ -80,18 +81,28 @@ def _running_sum(terms) -> np.ndarray:
     return total
 
 
+def _evaluate(blocks: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """sum_i coords[..., i] blocks[i], blocks[i] one block or one per row of coords:
+    a running sum in coordinate order, not BLAS, so no row depends on the others."""
+    return _running_sum(np.asarray(coords)[..., i, None, None] * blocks[i]
+                        for i in range(len(blocks)))
+
+
 @dataclass(frozen=True)
 class Pencil:
     """The family r -> sum_i r_i blocks[i]; blocks stacked as (ambient, rows, cols),
-    each at least 1, checked here so that every member can read them."""
+    each at least 1, of finite numbers: coerced and checked here for every reader."""
 
     blocks: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.blocks)
-        if len(shape) != 3 or 0 in shape:
+        blocks = np.asarray(self.blocks)
+        if blocks.ndim != 3 or 0 in blocks.shape:
             raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
-                                f"least 1, got {shape}")
+                                f"least 1, got {blocks.shape}")
+        if blocks.dtype.kind not in "biufc" or not np.isfinite(blocks).all():
+            raise ParameterOutOfRange("pencil blocks must be finite numbers")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def ambient_dim(self) -> int:
@@ -102,11 +113,7 @@ class Pencil:
         return self.blocks.shape[1], self.blocks.shape[2]
 
     def evaluate(self, coords: np.ndarray) -> np.ndarray:
-        """sum_i coords[..., i] blocks[i]: (d,) -> (rows, cols), (S, d) -> (S, rows, cols),
-        blocks[i] being one block or, for a _RowPencil, one per row, (S, rows, cols).
-        A running sum in coordinate order, not BLAS, so no row depends on the others."""
-        return _running_sum(np.asarray(coords)[..., i, None, None] * self.blocks[i]
-                            for i in range(self.ambient_dim))
+        return _evaluate(self.blocks, coords)
 
     def max_rank_bound(self) -> int:
         return min(self.block_shape)
@@ -114,14 +121,6 @@ class Pencil:
     def stacked(self) -> np.ndarray:
         """(rows*cols) x ambient matrix whose column i is vec(blocks[i])."""
         return self.blocks.reshape(self.ambient_dim, -1).T
-
-
-class _RowPencil(Pencil):
-    """The kernel's pencil with one block per row, blocks (ambient, S, rows, cols),
-    built each round from blocks the search has checked: only evaluate reads it."""
-
-    def __post_init__(self):
-        pass
 
 
 @dataclass(frozen=True)
@@ -201,16 +200,7 @@ def hermitian_form(rho: DensityMatrix, point: ProjectivePoint, side: Side) -> np
                      r, r.conj(), rho.matrix.reshape(m, n, m, n))
 
 
-def _check_blocks(p: Pencil) -> None:
-    """Blocks a locus computation can read: finite, their shape checked by
-    Pencil.  Once per search: the kernel's per-row pencils are built from
-    checked blocks."""
-    if not np.isfinite(p.blocks).all():
-        raise ParameterOutOfRange("pencil blocks must be finite")
-
-
 def rank_at(p: Pencil, point: ProjectivePoint, tol: ToleranceConfig = ToleranceConfig()) -> int:
-    _check_blocks(p)
     if point.coords.size != p.ambient_dim:
         raise ShapeMismatch(
             f"point has {point.coords.size} coordinates, pencil ambient is {p.ambient_dim}")
@@ -226,7 +216,6 @@ def in_locus(p: Pencil, k: int, point: ProjectivePoint,
 
 def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLocus:
     """Exact rank-0 locus: null space of the stacked block matrix."""
-    _check_blocks(p)
     return LinearLocus(null_space(p.stacked(), tol))
 
 
@@ -245,7 +234,7 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
 def _pencil_svd(stack: np.ndarray, search: np.ndarray, R: np.ndarray):
     """Full SVD M = U S V^dagger per row j of R, M of blocks stack[search[j]] read
     for this call: a thin V lacks the directions M kills when cols > rows."""
-    return np.linalg.svd(_RowPencil(stack[search].swapaxes(0, 1)).evaluate(R), full_matrices=True)
+    return np.linalg.svd(_evaluate(stack[search].swapaxes(0, 1), R), full_matrices=True)
 
 
 def _normal_map(stack: np.ndarray, search: np.ndarray, U: np.ndarray, Vh: np.ndarray, k: int):
@@ -397,6 +386,19 @@ def _draw_starts(seed: int, starts: int, ambient: int) -> np.ndarray:
     return draws[:, 0] + 1j * draws[:, 1]
 
 
+def _generic_points(ambient: int) -> np.ndarray:
+    """normal_rank's two points of CP^{ambient-1}, canonical rows from one fixed seed."""
+    return _canonical(_draw_starts(1009, 2, ambient))
+
+
+def normal_rank(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> int:
+    """p's rank at a generic point: the larger of its ranks at _generic_points,
+    so that one unlucky draw cannot lower it.  V^k is all of CP^{d-1} exactly
+    when k >= normal_rank(p); a zero pencil's is 0."""
+    s = np.linalg.svd(_evaluate(p.blocks, _generic_points(p.ambient_dim)), compute_uv=False)
+    return max(tol.rank(row, *p.block_shape) for row in s)
+
+
 def _close(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """same_point between every unit row of P and every unit row of Q."""
     return 1.0 - np.abs(P.conj() @ Q.T) <= _POINT_TOL
@@ -472,9 +474,7 @@ def _sample_loci(pencils, k: int, config: SearchConfig,
             samples[i] = _sample(r[rows], f[rows], reason[rows], rounds[rows], starts)
 
     for i, p in enumerate(pencils):
-        _check_blocks(p)
-        if k >= p.max_rank_bound() or np.linalg.norm(p.blocks) < tol.abs_floor:
-            # every point is on the locus: k reaches the block size, or the pencil is zero
+        if k >= normal_rank(p, tol):  # every point is on the locus
             stats = {"starts": 0, "converged": 0, "rounds": 0, **dict.fromkeys(_REASONS, 0)}
             samples.append(LocusSample((), (), stats, trivial=True, min_residual_seen=0.0))
             continue

@@ -13,8 +13,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch
-from .loci import (Pencil, ProjectivePoint, SearchConfig, _loci_empty, locus_zero,
-                   sample_locus, spectral_pencil)
+from .loci import (Pencil, ProjectivePoint, SearchConfig, _generic_points, _loci_empty,
+                   locus_zero, normal_rank, sample_locus, spectral_pencil)
 from .numeric import ToleranceConfig, hermitian_eig, singular_values
 from .states import (BipartiteShape, DensityMatrix, Side, _check_mixture, _check_weights,
                      partial_trace, random_density, rank_cut, support)
@@ -180,10 +180,12 @@ def _locus_candidates(pencil: Pencil, k: int, config: SearchConfig,
         locus = locus_zero(pencil, tol)
         return locus.points(), {"mode": "exact", "dimension": locus.projective_dimension}
     sample = sample_locus(pencil, k, config, tol)
-    stats = dict(sample.search_stats)
-    stats.update(mode="sampled", found=len(sample.points),
-                 min_residual=sample.min_residual_seen)
-    return list(sample.points), stats
+    points = list(sample.points)
+    if sample.trivial:  # V^k is the whole space, searched by no start: take generic points
+        points = [ProjectivePoint(c) for c in _generic_points(pencil.ambient_dim)]
+    mode = "whole_space" if sample.trivial else "sampled"
+    return points, {**sample.search_stats, "mode": mode, "found": len(points),
+                    "min_residual": sample.min_residual_seen}
 
 
 def _check_pair(target: DensityMatrix, component: DensityMatrix) -> None:
@@ -218,10 +220,11 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
 
     Such a point certifies that no positive weights and no further components
     can make `component` appear in any mixture equal to `target`.  k stops
-    below the target pencil's block bound (InvalidK beyond).  At k at or above
-    the component pencil's block bound every point lies in V^k(component), so
-    no certificate exists there: k=None scans every k below both bounds,
-    cheapest (exact k=0) first, and an explicit such k runs no scan.  A
+    below the target pencil's block bound (InvalidK beyond).  No certificate
+    exists at k at or above the component pencil's normal rank, where every
+    point lies in V^k(component): k=None scans every k below both, cheapest
+    (exact k=0) first, and an explicit such k runs no scan.  Where V^k(target)
+    is the whole space, normal_rank's generic points are the candidates.  A
     NO_OBSTRUCTION_FOUND verdict is a semidecision, not a feasibility proof.
     When range(component) lies in range(target), V^k(target) lies in every
     V^k(component), so no scan can certify and none runs.  Nor does one run
@@ -247,13 +250,13 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
                           f"no locus scan, target eigenvalue {near[0]:.3e} within {_GUARD:g}x "
                           f"of the rank cut {cut:.3e} (not a feasibility proof)")
     component_pencil = spectral_pencil(component, side, tol)
-    bound = component_pencil.max_rank_bound()
-    if k is not None and k >= bound:
+    rank = normal_rank(component_pencil, tol)
+    if k is not None and k >= rank:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
-                          f"no locus scan, k={k} reaches the component pencil's block bound "
-                          f"{bound}, so every point lies in its V^k (not a feasibility proof)")
+                          f"no locus scan, k={k} reaches the component pencil's normal rank "
+                          f"{rank}, so every point lies in its V^k (not a feasibility proof)")
     all_stats = {}
-    for kk in (range(min(max_k, bound)) if k is None else [k]):
+    for kk in (range(min(max_k, rank)) if k is None else [k]):
         points, stats = _locus_candidates(target_pencil, kk, config, tol)
         all_stats[kk] = stats
         for point in points:

@@ -81,15 +81,12 @@ def hermitian_eig(H, what: str = "matrix") -> EigResult:
 
 
 def singular_values(M) -> np.ndarray:
-    M = as_matrix(M)
-    return np.linalg.svd(M, compute_uv=False)
+    return np.linalg.svd(as_matrix(M), compute_uv=False)
 
 
 def numerical_rank(M, tol: ToleranceConfig = ToleranceConfig()) -> int:
     """Number of singular values strictly above the shared rank threshold."""
     M = as_matrix(M)
-    if M.size == 0:
-        return 0
     return tol.rank(singular_values(M), *M.shape)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -117,8 +118,40 @@ def test_check_mix_refuses_at_the_component_bound():
     doc = json.loads(run_cli("--json", *args).stdout)
     assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
     assert doc["data"]["range"]["contained"] is False
-    assert "k=1 reaches the component pencil's block bound 1" in doc["data"]["reason"]
+    assert "k=1 reaches the component pencil's normal rank 1" in doc["data"]["reason"]
     assert "no locus scan" in run_cli(*args).stdout
+
+
+@pytest.mark.parametrize("name, k", [("example3", "2"), ("example1", "1")])
+def test_locus_below_the_block_bound_can_be_the_whole_space(name, k):
+    # side B's pencil has normal rank k below its block bound, so V_B^k is everything
+    doc = json.loads(run_cli("--json", "locus", "--state", fixture(f"{name}.json"),
+                             "--side", "B", "--k", k).stdout)
+    assert doc["verdict"] == "TRIVIAL" and doc["data"]["points"] == []
+    assert doc["data"]["search_stats"]["starts"] == 0
+
+
+def test_check_mix_searches_no_whole_space_locus(monkeypatch):
+    # example3's side-B pencil has normal rank 2 below its block bound 3
+    example3, component = fixture("example3.json"), fixture("example2_component.json")
+    doc = json.loads(run_cli("--json", "check-mix", "--target", example3, "--component",
+                             component, "--side", "B", "--k", "all").stdout)
+    data = doc["data"]
+    assert doc["verdict"] == "INFEASIBLE" and data["k"] == 2
+    assert data["search_stats"]["2"]["mode"] == "whole_space"
+    assert data["search_stats"]["2"]["starts"] == 0
+    # the benchmark's oracle rechecks the witness on its own factor of each state
+    spec = importlib.util.spec_from_file_location("oracle",
+                                                  FIXTURES.parent / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "oracle", oracle)  # its dataclasses look their module up
+    spec.loader.exec_module(oracle)
+    assert oracle.Oracle().recheck_certificate(str(example3), str(component), data) == ""
+    # every point lies in V_B^2(example3), so no scan runs the other way
+    doc = json.loads(run_cli("--json", "check-mix", "--target", component, "--component",
+                             example3, "--side", "B", "--k", "2").stdout)
+    assert doc["verdict"] == "NO_OBSTRUCTION_FOUND" and doc["data"]["search_stats"] == {}
+    assert "k=2 reaches the component pencil's normal rank 2" in doc["data"]["reason"]
 
 
 NEAR_CUT = {  # target eigenvalue 1e-8 near its rank cut 4e-8, component on its eigenvector
@@ -132,7 +165,7 @@ NEAR_CUT = {  # target eigenvalue 1e-8 near its rank cut 4e-8, component on its 
     ("example2_target", "example2_component", "2", "witness "),
     ("example2_target", "example2_target", "all", "range containment proven"),
     ("target", "component", "all", "no locus scan, target eigenvalue 1.000e-08 within 10x"),
-    ("example1", "bell", "1", "no locus scan, k=1 reaches the component pencil's block bound"),
+    ("example1", "bell", "1", "no locus scan, k=1 reaches the component pencil's normal rank"),
     ("example2_target", "example2_component", "1", "no certificate found"),
 ], ids=["infeasible", "contained", "near_cut", "component_bound", "none_found"])
 def test_check_mix_reports_one_schema_and_its_reason(tmp_path, target, component, k, reason):

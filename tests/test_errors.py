@@ -65,6 +65,7 @@ CASES = {
     "evaluate_2d_blocks": (lambda: Pencil(np.ones((2, 3))).evaluate(np.ones(2)), ShapeMismatch),
     "stacked_2d_blocks": (lambda: Pencil(np.ones((2, 3))).stacked(), ShapeMismatch),
     "ambient_dim_0d_blocks": (lambda: Pencil(np.array(1.0)).ambient_dim, ShapeMismatch),
+    "locus_zero_string_blocks": (lambda: locus_zero(Pencil([[["1", "0"]]])), ParameterOutOfRange),
     "mix_no_states": (lambda: mix([1.0], []), WeightSumInvalid),
 }
 

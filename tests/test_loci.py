@@ -712,6 +712,36 @@ def test_sample_locus_zero_pencil():
     assert rank_at(p, point(1, 0), TOL) == 0
 
 
+def test_a_nested_list_pencil_reads_as_its_array():
+    p = Pencil([[[1.0, 0.0]], [[0.0, 1.0]]])  # M(r) = (r_0, r_1)
+    assert isinstance(p.blocks, np.ndarray) and p.blocks.shape == (2, 1, 2)
+    assert locus_zero(p, TOL).is_empty and locus_zero(Pencil([[[1.0, 0.0]]]), TOL).is_empty
+    assert rank_at(p, point(1, 1j), TOL) == 1
+    sample = sample_locus(p, 0, CONFIG, TOL)
+    assert not sample.trivial and sample.points == ()
+    assert sample_locus(p, 1, CONFIG, TOL).trivial
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_normal_rank_finds_a_planted_rank(ambient, rows, cols, data):
+    # blocks L_i R with R a fixed s x cols matrix: every M(r) has rank at most s,
+    # and s at a generic point
+    bound = min(rows, cols)
+    s = data.draw(st.integers(0, bound - 1), label="s")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    L = rng.standard_normal((ambient, rows, s)) + 1j * rng.standard_normal((ambient, rows, s))
+    R = rng.standard_normal((s, cols)) + 1j * rng.standard_normal((s, cols))
+    p = Pencil(L @ R)
+    assert loci.normal_rank(p, TOL) == s
+    config = SearchConfig(starts=4, seed=0)
+    for k in range(bound + 1):
+        sample = sample_locus(p, k, config, TOL)
+        assert sample.trivial == (k >= s)
+        if sample.trivial:
+            assert sample.points == () and sample.search_stats["starts"] == 0
+
+
 def test_is_locus_empty_bell():
     assert is_locus_empty(pencil_of("bell.json"), 0, CONFIG, TOL).status == "EMPTY_EXACT"
 

@@ -17,7 +17,7 @@ from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceCo
                      random_density, schmidt_rank_cap)
 from mixloci import is_locus_empty, loci, mixing
 from mixloci.errors import InvalidK, ParameterOutOfRange
-from mixloci.loci import SearchConfig, locus_zero, rank_at, spectral_pencil
+from mixloci.loci import SearchConfig, locus_zero, normal_rank, rank_at, spectral_pencil
 from mixloci.numeric import numerical_rank
 
 from conftest import load_fixture
@@ -234,10 +234,11 @@ def test_check_component_necessary_errors():
 
 def reference_scan(target, component, side):
     """check_component_necessary's k=None scan over every k below the target
-    pencil's block bound.  At k at or above the component pencil's it checks
-    that every candidate lies in V^k(component), where no certificate exists."""
+    pencil's block bound.  At k at or above the component pencil's normal rank
+    it checks that every candidate lies in V^k(component), where no
+    certificate exists."""
     target_pencil, component_pencil = (spectral_pencil(s, side, TOL) for s in (target, component))
-    bound = component_pencil.max_rank_bound()
+    bound = normal_rank(component_pencil, TOL)
     for k in range(target_pencil.max_rank_bound()):
         for point in mixing._locus_candidates(target_pencil, k, CONFIG, TOL)[0]:
             if k >= bound:
@@ -263,7 +264,7 @@ def test_scan_stops_below_the_component_pencils_block_bound(monkeypatch):
                 component = random_density(shape, rank, seed=[21, shape.m, target_rank, rank])
                 for side in ("A", "B"):
                     max_k = spectral_pencil(target, side, TOL).max_rank_bound()
-                    bound = spectral_pencil(component, side, TOL).max_rank_bound()
+                    bound = normal_rank(spectral_pencil(component, side, TOL), TOL)
                     searched.clear()
                     verdict = check_component_necessary(target, component, side, None,
                                                         CONFIG, TOL)
@@ -284,8 +285,8 @@ def test_scan_stops_below_the_component_pencils_block_bound(monkeypatch):
                                                             CONFIG, TOL)
                         assert verdict.status == "NO_OBSTRUCTION_FOUND" and verdict.stats == {}
                         assert searched == [] and verdict.reason.startswith(
-                            f"no locus scan, k={k} reaches the component pencil's block "
-                            f"bound {bound}")
+                            f"no locus scan, k={k} reaches the component pencil's normal "
+                            f"rank {bound}")
     assert statuses == {"INFEASIBLE", "NO_OBSTRUCTION_FOUND"}
 
 

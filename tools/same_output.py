@@ -69,7 +69,10 @@ def requests(written: Path) -> list[list[str]]:
     from the directory written: the searches on the fixtures, the mixture
     checks on example2 both ways, of example2_target against itself (the
     range-contained path), of bell in example1 (a component whose pencil's
-    block bound, 1, is below the target's) and of the near-cut pair, bounds
+    normal rank, 1, is below the target's block bound), the side-B loci of
+    example3 and example1 that are the whole space below their block bounds,
+    the mixture checks of example3 against example2_component both ways on
+    that side, and of the near-cut pair, bounds
     on every fixture, a Theorem-1 and a Theorem-2 majorization, the
     matrix-form fixture's loci and, at a rank cut above its every
     eigenvalue, its majorization and bounds, seeded genericity trials, then
@@ -94,6 +97,15 @@ def requests(written: Path) -> list[list[str]]:
     bell = ["check-mix", "--target", _fixture("example1.json"),
             "--component", _fixture("bell.json")]
     reqs += [[*bell, "--k", "all"], [*bell, "--k", "1"], [*bell, "--side", "B", "--k", "1"]]
+    # side-B loci below the block bound that are the whole space: normal rank 2 of 3
+    # on example3, 1 of 2 on example1
+    example3 = _fixture("example3.json")
+    reqs += [["locus", "--state", example3, "--side", "B", "--k", "2"],
+             ["locus", "--state", _fixture("example1.json"), "--side", "B", "--k", "1"],
+             ["check-mix", "--target", example3, "--component", pair[1], "--side", "B",
+              "--k", "all"],
+             ["check-mix", "--target", pair[1], "--component", example3, "--side", "B",
+              "--k", "2"]]
     near_target, near_component = (str(written / name) for name in NEAR_CUT_STATES)
     reqs.append(["check-mix", "--target", near_target, "--component", near_component])
     reqs += [["bounds", "--state", str(path)] for path in sorted(FIXTURES.glob("*.json"))]
