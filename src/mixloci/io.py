@@ -15,16 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MixLociError
+from .numeric import _MAX_MAGNITUDE
 from .states import (BipartiteShape, DensityMatrix, Ensemble, PureState,
                      density_from_ensemble, density_matrix_from_array, make_ensemble,
                      make_pure)
 
 __all__ = ["StateFileError", "LoadedState", "load_state", "complex_to_pairs", "pairs_to_complex"]
-
-
-# largest magnitude of a number in a state file: its square, summed over
-# every entry of a state, stays finite
-_MAX_MAGNITUDE = 1e150
 
 
 class StateFileError(MixLociError):

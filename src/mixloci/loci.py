@@ -9,13 +9,14 @@ multistart Gauss-Newton search for points where sigma_{k+1} vanishes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch, ZeroVector
-from .numeric import ToleranceConfig, null_space, numerical_rank
+from .numeric import _MAX_MAGNITUDE, ToleranceConfig, null_space, numerical_rank
 from .states import DensityMatrix, Ensemble, Side, _check_side, support
 
 __all__ = ["Pencil", "ProjectivePoint", "LinearLocus", "LocusSample", "SearchConfig",
@@ -69,29 +70,23 @@ def _canonical(V: np.ndarray) -> np.ndarray:
     return V * (q / np.hypot(q.real, q.imag)).conj()[:, None]
 
 
-def _running_sum(terms) -> np.ndarray:
-    """t_0 + t_1 + ... added left to right into t_0, a fresh array: no pairwise
-    or blocked reduction reorders the additions, and no more than one term and
-    the sum are held at once."""
-    terms = iter(terms)
-    total = next(terms)
-    for t in terms:
-        total += t
-        del t  # free each term before the next one is made
-    return total
-
-
 def _evaluate(blocks: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """sum_i coords[..., i] blocks[i], blocks[i] one block or one per row of coords:
-    a running sum in coordinate order, not BLAS, so no row depends on the others."""
-    return _running_sum(np.asarray(coords)[..., i, None, None] * blocks[i]
-                        for i in range(len(blocks)))
+    the terms added in coordinate order into the first, not BLAS, so no row
+    depends on the others, and one term is held at a time."""
+    coords = np.asarray(coords)
+    total = coords[..., 0, None, None] * blocks[0]
+    for i in range(1, len(blocks)):
+        total += coords[..., i, None, None] * blocks[i]
+    return total
 
 
 @dataclass(frozen=True)
 class Pencil:
     """The family r -> sum_i r_i blocks[i]; blocks stacked as (ambient, rows, cols),
-    each at least 1, of finite numbers: coerced and checked here for every reader."""
+    each at least 1, of numbers whose real and imaginary parts are at most a
+    state file's _MAX_MAGNITUDE, so that no evaluation overflows: coerced and
+    checked here for every reader."""
 
     blocks: np.ndarray
 
@@ -100,8 +95,10 @@ class Pencil:
         if blocks.ndim != 3 or 0 in blocks.shape:
             raise ShapeMismatch(f"pencil blocks must have shape (ambient, rows, cols), each at "
                                 f"least 1, got {blocks.shape}")
-        if blocks.dtype.kind not in "biufc" or not np.isfinite(blocks).all():
-            raise ParameterOutOfRange("pencil blocks must be finite numbers")
+        if blocks.dtype.kind not in "biufc" \
+                or not np.abs([blocks.real, blocks.imag]).max() <= _MAX_MAGNITUDE:  # NaN fails too
+            raise ParameterOutOfRange(f"pencil blocks must be numbers whose real and imaginary "
+                                      f"parts are at most {_MAX_MAGNITUDE:g} in magnitude")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -220,9 +217,11 @@ def locus_zero(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> LinearLoc
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis strictly left to right, a running sum into a copy
-    of x[..., 0], so a row's sum does not depend on how many rows there are."""
-    return _running_sum(x[..., i] if i else x[..., 0].copy() for i in range(x.shape[-1]))
+    """Sum over the last axis strictly left to right, the last entry of an
+    accumulate, so a row's sum does not depend on how many rows there are.
+    The result is a view that keeps the accumulate, a copy of x, alive for
+    as long as it is held (see _row_bytes)."""
+    return np.add.accumulate(x, axis=-1)[..., -1]
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
@@ -240,15 +239,18 @@ def _pencil_svd(stack: np.ndarray, search: np.ndarray, R: np.ndarray):
 def _normal_map(stack: np.ndarray, search: np.ndarray, U: np.ndarray, Vh: np.ndarray, k: int):
     """Per row of _pencil_svd's U and Vh: the normal map J, column i vec(U0^dagger
     A_i V0), A_i = stack[search[row], i], U0 = U[:, k:], V0 = V[:, k:]; M is linear,
-    so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.  Both products are running
-    sums over the contracted index, reading the blocks one index at a time."""
+    so U0^dagger M(r + dr) V0 = diag(s[k:]) + J dr.  Each product adds its
+    terms over the contracted index in index order into the first, one term
+    at a time, reading the blocks one index at a time."""
     rows, cols = stack.shape[-2:]
     U0h = U[..., k:].conj().swapaxes(-1, -2)  # (S, rows-k, rows)
     V0t = Vh[..., k:, :].conj()  # (S, cols-k, cols): V0 transposed
-    left = _running_sum(U0h[:, None, :, None, j] * np.take(stack[:, :, None, j], search, axis=0)
-                        for j in range(rows))  # (S, d, rows-k, cols)
-    J = _running_sum(left[..., None, l] * V0t[:, None, None, :, l]
-                     for l in range(cols))  # (S, d, rows-k, cols-k)
+    left = U0h[:, None, :, None, 0] * stack[search, :, None, 0]  # (S, d, rows-k, cols)
+    for j in range(1, rows):
+        left += U0h[:, None, :, None, j] * stack[search, :, None, j]
+    J = left[..., None, 0] * V0t[:, None, None, :, 0]  # (S, d, rows-k, cols-k)
+    for l in range(1, cols):
+        J += left[..., None, l] * V0t[:, None, None, :, l]
     return J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
 
 
@@ -258,8 +260,12 @@ def _row_bytes(block_shape: tuple, k: int) -> int:
     q = min(m n, d): what a row keeps (its share of the stack, at most its
     blocks; U, Vh, five d-vectors, its singular values, 8 entries of
     bookkeeping) and the most one stage adds: the evaluation or its SVD, the
-    normal map or the step (README).  numpy's fixed per-call buffers, up to
-    128 KiB whatever the rows, come on top."""
+    normal map or the step (README).  The step's row sums are accumulates,
+    each a copy of what it sums: J r's, the size of J, is gone before the
+    projection of J is made, so it fits in the projection's slot, and dr's
+    takes the slot of the conjugate copy of Vh, gone once its product with c
+    is made.  numpy's fixed per-call buffers, up to 128 KiB whatever the
+    rows, come on top."""
     d, rows, cols = block_shape
     m, n, q = rows - k, cols - k, min((rows - k) * (cols - k), d)
     held = d * rows * cols + rows**2 + cols**2 + 5 * d + min(rows, cols) + 8
@@ -293,13 +299,14 @@ def _gauss_newton_step(J: np.ndarray, tail: np.ndarray, j: np.ndarray,
       eigenvalue of a Hermitian matrix with that (0, 0) entry, at least 0,
       so no step lowers it there either: a stationary point.
     c and ||b|| read W's rows j and the tail alone: the zero entries of b
-    add exact zeros to their running sums."""
-    Jr = _row_sum(J * r[:, None, :])
-    JP = J - Jr[:, :, None] * r.conj()[:, None, :]
+    add exact zeros to their sums."""
+    JP = J - _row_sum(J * r[:, None, :])[:, :, None] * r.conj()[:, None, :]
     W, sigma, Vh = np.linalg.svd(JP, full_matrices=False)
     kept = sigma > _RCOND * sigma[:, :1]
-    c = np.where(kept, _running_sum(W[:, x].conj() * tail[:, i, None]
-                                    for i, x in enumerate(j)), 0.0)
+    c = W[:, j[0]].conj() * tail[:, 0, None]
+    for i in range(1, len(j)):
+        c += W[:, j[i]].conj() * tail[:, i, None]
+    c = np.where(kept, c, 0.0)
     stalled = ((_row_norm(c) ** 2 < _STALL_RTOL * _row_norm(tail) ** 2)
                | (_row_norm(np.ascontiguousarray(JP[:, 0])) <= _RCOND * sigma[:, 0]))
     dr = -_row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
@@ -316,8 +323,9 @@ def _descend(stack: np.ndarray, search: np.ndarray, k: int, R0: np.ndarray,
     tail, or the start sits where no step moves sigma_{k+1} to first order,
     even inside a cluster of equal singular values (see _gauss_newton_step);
     the step is built only for the starts the first two rules let go on.
-    Sums run in index order and SVDs are stacked (one LAPACK call per
-    matrix), so no path depends on the batch.
+    Every sum adds its terms in index order, by a loop over the contracted
+    index or an accumulate along the row, and SVDs are stacked (one LAPACK
+    call per matrix), so no path depends on the batch.
 
     stack holds each search's blocks once, (searches, ambient, rows, cols); row
     j's pencil is stack[search[j]], read each round; a search's rows are contiguous.
@@ -386,9 +394,13 @@ def _draw_starts(seed: int, starts: int, ambient: int) -> np.ndarray:
     return draws[:, 0] + 1j * draws[:, 1]
 
 
+@functools.cache
 def _generic_points(ambient: int) -> np.ndarray:
-    """normal_rank's two points of CP^{ambient-1}, canonical rows from one fixed seed."""
-    return _canonical(_draw_starts(1009, 2, ambient))
+    """normal_rank's two points of CP^{ambient-1}, canonical rows from one fixed
+    seed: drawn once per ambient dimension and shared, so read-only."""
+    points = _canonical(_draw_starts(1009, 2, ambient))
+    points.flags.writeable = False
+    return points
 
 
 def normal_rank(p: Pencil, tol: ToleranceConfig = ToleranceConfig()) -> int:

@@ -16,6 +16,9 @@ __all__ = ["ToleranceConfig", "EigResult", "as_matrix", "hermitian_eig", "numeri
            "null_space"]
 
 _HERM_REL = 1e-10
+# largest magnitude of a number in a state file or of a part of a pencil's
+# entry: its square, summed over every entry of a state, stays finite
+_MAX_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)

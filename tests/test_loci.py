@@ -660,6 +660,77 @@ def test_the_step_on_the_tail_equals_the_dense_b_step(m, n, d):
     assert np.array_equal(stalled, stalled_ref)
 
 
+def running_sum(terms):
+    """t_0 + t_1 + ... added left to right into t_0, one term at a time: the
+    sums the kernel took before its loops and accumulates, which they must
+    equal bit for bit."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        total += t
+    return total
+
+
+def running_evaluate(blocks, coords):
+    return running_sum(np.asarray(coords)[..., i, None, None] * blocks[i]
+                       for i in range(len(blocks)))
+
+
+def running_row_sum(x):
+    return running_sum(x[..., i] if i else x[..., 0].copy() for i in range(x.shape[-1]))
+
+
+def running_normal_map(stack, search, U, Vh, k):
+    rows, cols = stack.shape[-2:]
+    U0h = U[..., k:].conj().swapaxes(-1, -2)
+    V0t = Vh[..., k:, :].conj()
+    left = running_sum(U0h[:, None, :, None, j] * np.take(stack[:, :, None, j], search, axis=0)
+                       for j in range(rows))
+    J = running_sum(left[..., None, l] * V0t[:, None, None, :, l] for l in range(cols))
+    return J.reshape(J.shape[0], J.shape[1], -1).swapaxes(-1, -2)
+
+
+def running_step(J, tail, j, r):
+    Jr = running_row_sum(J * r[:, None, :])
+    JP = J - Jr[:, :, None] * r.conj()[:, None, :]
+    W, sigma, Vh = np.linalg.svd(JP, full_matrices=False)
+    kept = sigma > loci._RCOND * sigma[:, :1]
+    c = np.where(kept, running_sum(W[:, x].conj() * tail[:, i, None]
+                                   for i, x in enumerate(j)), 0.0)
+    stalled = ((loci._row_norm(c) ** 2 < loci._STALL_RTOL * loci._row_norm(tail) ** 2)
+               | (loci._row_norm(np.ascontiguousarray(JP[:, 0])) <= loci._RCOND * sigma[:, 0]))
+    dr = -running_row_sum(Vh.conj().swapaxes(-1, -2) * (c / np.where(kept, sigma, 1.0))[:, None, :])
+    return dr, stalled
+
+
+RUNNING_KERNEL = {"_evaluate": running_evaluate, "_row_sum": running_row_sum,
+                  "_normal_map": running_normal_map, "_gauss_newton_step": running_step}
+
+
+# example2_target's normal rank is 3, so its V^3 is the whole space and no search runs there
+@pytest.mark.parametrize("name, k", [("example4.json", 1), ("example4.json", 2), ("example4.json", 3),
+                                     ("example2_target.json", 1), ("example2_target.json", 2),
+                                     ("empty", 2), ("tall", 2)])
+def test_the_kernel_equals_its_running_sum_reference(name, k, monkeypatch):
+    # every start's point, f, reason and rounds, bit for bit, with the
+    # reference's sums patched in, at the full round cap and at 6 rounds
+    p = {"empty": empty_locus_pencil, "tall": tall_pencil}.get(name, lambda: pencil_of(name))()
+    bits = lambda x: x.view(np.int64)
+    for max_iter in (loci._MAX_ITER, 6):
+        for starts in (1, 24):
+            for stop_at_first in (False, True):
+                config = SearchConfig(starts=starts, seed=3, stop_at_first=stop_at_first)
+                R0 = drawn_starts(p, config)
+                with monkeypatch.context() as patched:
+                    patched.setattr(loci, "_MAX_ITER", max_iter)
+                    r, f, reason, rounds = descend(p, k, R0, config)
+                    for attr, reference in RUNNING_KERNEL.items():
+                        patched.setattr(loci, attr, reference)
+                    r_ref, f_ref, reason_ref, rounds_ref = descend(p, k, R0, config)
+                assert np.array_equal(bits(r), bits(r_ref)) and np.array_equal(bits(f), bits(f_ref))
+                assert np.array_equal(reason, reason_ref) and np.array_equal(rounds, rounds_ref)
+
+
 def genericity_pencil(m, r, trial):
     """Trial `trial` of `genericity --m m --n m --r r` at seed 0."""
     rho = random_density(BipartiteShape(m, m), r, seed=[0, trial])
@@ -740,6 +811,31 @@ def test_normal_rank_finds_a_planted_rank(ambient, rows, cols, data):
         assert sample.trivial == (k >= s)
         if sample.trivial:
             assert sample.points == () and sample.search_stats["starts"] == 0
+
+
+def test_generic_points_are_drawn_once_per_ambient_dimension_and_read_only():
+    for ambient in (1, 3, 4, 9):
+        points = loci._generic_points(ambient)
+        assert loci._generic_points(ambient) is points and not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 0
+        # the points each call drew before they were kept
+        assert np.array_equal(points, loci._canonical(loci._draw_starts(1009, 2, ambient)))
+    # normal_rank's values on both sides of the fixtures, as each call's own draw gave them
+    ranks = {"bell.json": [1, 1], "example1.json": [2, 1], "example2_component.json": [3, 3],
+             "example2_target.json": [3, 3], "example3.json": [3, 2], "example4.json": [4, 4]}
+    for name, expected in ranks.items():
+        assert [loci.normal_rank(pencil_of(name, side), TOL) for side in "AB"] == expected
+
+
+def test_a_pencil_whose_evaluation_could_overflow_is_refused():
+    # at 1e308 M(r) overflowed to inf: its normal rank read 0 and every V^k the whole space
+    for big in (1e308, np.nextafter(1e150, np.inf), 2e150j):
+        with pytest.raises(ParameterOutOfRange):
+            Pencil(np.full((2, 2, 2), big))
+    for big in (1e150, -1e150j):  # the state-file cap itself
+        p = Pencil(np.full((2, 2, 2), big))
+        assert loci.normal_rank(p, TOL) == 1 and not sample_locus(p, 0, CONFIG, TOL).trivial
 
 
 def test_is_locus_empty_bell():

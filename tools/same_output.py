@@ -66,8 +66,9 @@ MULTI_BATCH = (
 
 def requests(written: Path) -> list[list[str]]:
     """argv lists after `--json`, INVALID_STATES and NEAR_CUT_STATES read
-    from the directory written: the searches on the fixtures, the mixture
-    checks on example2 both ways, of example2_target against itself (the
+    from the directory written: the searches on the fixtures, one-start
+    ones among them, the mixture checks on example2 both ways and with one
+    start, of example2_target against itself (the
     range-contained path), of bell in example1 (a component whose pencil's
     normal rank, 1, is below the target's block bound), the side-B loci of
     example3 and example1 that are the whole space below their block bounds,
@@ -84,7 +85,7 @@ def requests(written: Path) -> list[list[str]]:
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
-            for starts in ("64", "100", "7"):
+            for starts in ("64", "100", "7", "1"):
                 reqs.append(["locus", "--state", _fixture(name), "--k", k, "--starts", starts])
     reqs.append(["locus", "--state", _fixture("example4.json"), "--k", "1", "--side", "B"])
     for name in ("example1.json", "example2_target.json", "example3.json", "example4.json"):
@@ -93,6 +94,10 @@ def requests(written: Path) -> list[list[str]]:
     for target, component in (pair, pair[::-1]):
         for k in ("all", "2", "1"):
             reqs.append(["check-mix", "--target", target, "--component", component, "--k", k])
+    # a one-start search: one-row batches are where a sum fused over rows could
+    # change its order of additions
+    reqs.append(["check-mix", "--target", pair[0], "--component", pair[1], "--k", "2",
+                 "--starts", "1"])
     reqs.append(["check-mix", "--target", pair[0], "--component", pair[0]])
     bell = ["check-mix", "--target", _fixture("example1.json"),
             "--component", _fixture("bell.json")]
