@@ -142,7 +142,7 @@ def _cmd_check_mix(args, tol: ToleranceConfig) -> int:
                                         side=args.side, k=k, config=config, tol=tol)
     inputs = {"target": target.sha256, "component": component.sha256,
               "side": args.side, "k": args.k}
-    data = {"range": asdict(verdict.range_test), "reason": verdict.reason,
+    data = {"range": vars(verdict.range_test), "reason": verdict.reason,
             "search_stats": {str(kk): st for kk, st in verdict.stats.items()}}
     if verdict.certificate is not None:
         cert = verdict.certificate

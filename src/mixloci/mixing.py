@@ -15,9 +15,9 @@ import numpy as np
 from .errors import InvalidK, ParameterOutOfRange, ShapeMismatch
 from .loci import (Pencil, ProjectivePoint, SearchConfig, _generic_points, _loci_empty,
                    locus_zero, normal_rank, sample_locus, spectral_pencil)
-from .numeric import ToleranceConfig, hermitian_eig, singular_values
-from .states import (BipartiteShape, DensityMatrix, Side, _check_mixture, _check_weights,
-                     partial_trace, random_density, rank_cut, support)
+from .numeric import EigResult, ToleranceConfig, hermitian_eig, singular_values
+from .states import (BipartiteShape, DensityMatrix, Side, _check_mixture, _check_side,
+                     _check_weights, partial_trace, random_density, rank_cut, support)
 
 __all__ = ["MixCertificate", "MixVerdict", "RangeContainment", "GenericityQuery",
            "GenericityReport", "majorizes", "check_pure_mix_eigen", "check_mixed_mix_eigen",
@@ -111,8 +111,8 @@ def majorizes(r: Sequence[float], s: Sequence[float], tol: float = _SUM_TOL) -> 
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     size = max(r.size, s.size)
-    r = np.sort(np.pad(r, (0, size - r.size)))[::-1]
-    s = np.sort(np.pad(s, (0, size - s.size)))[::-1]
+    r = np.sort(np.concatenate((r, np.zeros(size - r.size))))[::-1]
+    s = np.sort(np.concatenate((s, np.zeros(size - s.size))))[::-1]
     rc, sc = np.cumsum(r), np.cumsum(s)
     if abs(rc[-1] - sc[-1]) > tol:
         return False
@@ -199,8 +199,12 @@ def range_containment(target: DensityMatrix, component: DensityMatrix,
     a unit matrix's rank threshold over the guard band (0 at full rank), a
     leak counts as none."""
     _check_pair(target, component)
-    t, c = support(target, tol), support(component, tol)
-    dim = target.shape.dim
+    return _range_containment(support(target, tol), support(component, tol), tol)
+
+
+def _range_containment(t: EigResult, c: EigResult, tol: ToleranceConfig) -> RangeContainment:
+    """range_containment on the supports of a target and a component of one shape."""
+    dim = t.eigenvectors.shape[0]
     overlap = t.eigenvectors.conj().T @ c.eigenvectors
     leak = 0.0
     if t.eigenvalues.size < dim:
@@ -233,11 +237,14 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
     against it would be false.  The verdict's reason names the path taken.
     """
     _check_pair(target, component)
-    target_pencil = spectral_pencil(target, side, tol)
-    max_k = target_pencil.max_rank_bound()
+    target_support = support(target, tol)
+    _check_side(side)
+    # the target pencil's block bound: its blocks are n x t on side A, m x t on side B
+    max_k = min(target.shape.n if side == "A" else target.shape.m,
+                target_support.eigenvalues.size)
     if k is not None and not 0 <= k < max_k:
         raise InvalidK(f"k={k} outside [0, {max_k})")
-    range_test = range_containment(target, component, tol)
+    range_test = _range_containment(target_support, support(component, tol), tol)
     if range_test.contained:
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
                           f"range containment proven (leak {range_test.leak:.1e}), so no "
@@ -255,6 +262,7 @@ def check_component_necessary(target: DensityMatrix, component: DensityMatrix,
         return MixVerdict("NO_OBSTRUCTION_FOUND", range_test,
                           f"no locus scan, k={k} reaches the component pencil's normal rank "
                           f"{rank}, so every point lies in its V^k (not a feasibility proof)")
+    target_pencil = spectral_pencil(target, side, tol)
     all_stats = {}
     for kk in (range(min(max_k, rank)) if k is None else [k]):
         points, stats = _locus_candidates(target_pencil, kk, config, tol)

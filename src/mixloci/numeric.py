@@ -63,7 +63,7 @@ def as_matrix(entries) -> np.ndarray:
     matrix = np.asarray(entries, dtype=complex)
     if matrix.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D matrix, got ndim={matrix.ndim}")
-    if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
+    if not np.isfinite(matrix).all():  # a complex entry is finite iff both its parts are
         raise ParameterOutOfRange("matrix entries must be finite")
     return matrix
 
@@ -73,18 +73,26 @@ def hermitian_eig(H, what: str = "matrix") -> EigResult:
 
     H must be Hermitian within 1e-10 (1 + ||H||_F); `what` names it in the error.
     """
-    H = as_matrix(H)
+    return _hermitian_eig(as_matrix(H), what)[1]
+
+
+def _hermitian_eig(H: np.ndarray, what: str) -> tuple[np.ndarray, EigResult]:
+    """hermitian_eig of a matrix as_matrix returned, and the Hermitian part
+    (H + H^dagger) / 2 that it decomposed."""
     if H.shape[0] != H.shape[1]:
         raise ShapeMismatch(f"{what} is {H.shape[0]}x{H.shape[1]}")
-    if np.linalg.norm(H - H.conj().T) > _HERM_REL * (1.0 + np.linalg.norm(H)):
+    H_dagger = H.conj().T
+    if np.linalg.norm(H - H_dagger) > _HERM_REL * (1.0 + np.linalg.norm(H)):
         raise NotHermitian(f"{what} is not Hermitian")
-    eigenvalues, eigenvectors = np.linalg.eigh((H + H.conj().T) / 2.0)
+    part = (H + H_dagger) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(part)
     order = np.argsort(eigenvalues)[::-1]
-    return EigResult(eigenvalues[order], eigenvectors[:, order])
+    return part, EigResult(eigenvalues[order], eigenvectors[:, order])
 
 
-def singular_values(M) -> np.ndarray:
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of a 2-D array the package built or checked, nonincreasing."""
+    return np.linalg.svd(M, compute_uv=False)
 
 
 def numerical_rank(M, tol: ToleranceConfig = ToleranceConfig()) -> int:

@@ -12,7 +12,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ParameterOutOfRange, ShapeMismatch, WeightSumInvalid, ZeroVector
-from .numeric import EigResult, ToleranceConfig, as_matrix, hermitian_eig
+from .numeric import EigResult, ToleranceConfig, _hermitian_eig, as_matrix
 
 __all__ = ["BipartiteShape", "PureState", "Ensemble", "DensityMatrix", "make_pure",
            "make_ensemble", "density_from_ensemble", "density_matrix_from_array",
@@ -126,12 +126,11 @@ def make_ensemble(shape: BipartiteShape, members: Sequence[tuple[float, PureStat
 
 def density_matrix_from_array(matrix, shape: BipartiteShape) -> DensityMatrix:
     """Validate Hermiticity, unit trace and PSD (up to -1e-10 drift); the
-    stored matrix is the Hermitian part, with its spectrum."""
+    stored matrix is the Hermitian part that its stored spectrum decomposes."""
     matrix = as_matrix(matrix)
     if matrix.shape != (shape.dim, shape.dim):
         raise ShapeMismatch(f"expected {shape.dim}x{shape.dim} matrix, got {matrix.shape}")
-    spectrum = hermitian_eig(matrix, "density matrix")
-    matrix = (matrix + matrix.conj().T) / 2.0
+    matrix, spectrum = _hermitian_eig(matrix, "density matrix")
     if abs(np.trace(matrix).real - 1.0) > _TRACE_TOL:
         raise ParameterOutOfRange("density matrix trace differs from 1")
     if spectrum.eigenvalues[-1] < -_PSD_TOL:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from mixloci import (BipartiteShape, GenericityQuery, ShapeMismatch, ToleranceConfig,
                      WeightSumInvalid, check_component_necessary, check_mixed_mix_eigen,
                      check_pure_mix_eigen, check_reduced_constraints, density_from_ensemble,
-                     eigen_ensemble, excludes_max_schmidt_rank, forces_separable,
-                     generic_empty_predicate, hermitian_form, majorizes, make_ensemble,
-                     make_pure, mix, monte_carlo_genericity, pencil_from_ensemble,
-                     random_density, schmidt_rank_cap)
+                     density_matrix_from_array, eigen_ensemble, excludes_max_schmidt_rank,
+                     forces_separable, generic_empty_predicate, hermitian_form, majorizes,
+                     make_ensemble, make_pure, mix, monte_carlo_genericity,
+                     pencil_from_ensemble, random_density, schmidt_rank_cap)
 from mixloci import is_locus_empty, loci, mixing
 from mixloci.errors import InvalidK, ParameterOutOfRange
 from mixloci.loci import SearchConfig, locus_zero, normal_rank, rank_at, spectral_pencil
@@ -54,6 +54,32 @@ def test_majorizes_basic():
        st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=6))
 def test_majorizes_matches_oracle(r, s):
     assert majorizes(r, s) == oracle_majorizes(r, s)
+
+
+def padded_majorizes(r, s, tol=1e-9):
+    """majorizes as it was when it padded with np.pad: the verdict reference."""
+    r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+    size = max(r.size, s.size)
+    r = np.sort(np.pad(r, (0, size - r.size)))[::-1]
+    s = np.sort(np.pad(s, (0, size - s.size)))[::-1]
+    rc, sc = np.cumsum(r), np.cumsum(s)
+    return abs(rc[-1] - sc[-1]) <= tol and bool(np.all(rc[:-1] <= sc[:-1] + tol))
+
+
+# entries with ties and zeros; s is drawn alone or by merging r's entries in
+# runs, so that the totals agree and both verdicts occur
+ENTRIES = st.lists(st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1 / 3]),
+                             st.floats(0, 1)), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRIES, ENTRIES, st.lists(st.integers(1, 3), min_size=1, max_size=8), st.booleans())
+def test_majorizes_equals_its_padded_reference(r, s, runs, merged):
+    if merged:
+        cuts = np.cumsum(runs)
+        s = [sum(r[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, len(r)]) if lo < len(r)]
+    assert majorizes(r, s) == padded_majorizes(r, s)
+    assert majorizes(s, r) == padded_majorizes(s, r)
 
 
 def test_check_pure_mix_eigen():
@@ -230,6 +256,65 @@ def test_check_component_necessary_errors():
     rho = random_density(BipartiteShape(3, 3), 2, seed=1)  # rank 2: blocks 3 x 2
     with pytest.raises(InvalidK):
         check_component_necessary(rho, rho, "A", 2, CONFIG, TOL)
+
+
+def test_the_no_scan_paths_build_no_pencil(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pencil was built")
+
+    monkeypatch.setattr(mixing, "spectral_pencil", refuse)
+    target = load_fixture("example2_target.json").density
+    verdict = check_component_necessary(target, target, "A", None, CONFIG, TOL)
+    assert verdict.range_test.contained
+    # an eigenvalue 1e-8 under the rank cut 4e-8, and a component on its eigenvector
+    near_target = density_matrix_from_array(np.diag([0.99999999, 1e-8, 0, 0]), S22)
+    near_component = density_matrix_from_array(np.diag([0.0, 1, 0, 0]), S22)
+    verdict = check_component_necessary(near_target, near_component, "A", None, CONFIG, TOL)
+    assert verdict.reason.startswith("no locus scan, target eigenvalue 1.000e-08")
+
+
+def assert_k_bound_is_the_pencils(rho, side):
+    bound = spectral_pencil(rho, side, TOL).max_rank_bound()
+    assert check_component_necessary(rho, rho, side, bound - 1, CONFIG, TOL).range_test.contained
+    for k in (bound, -1):
+        with pytest.raises(InvalidK, match=rf"^k={k} outside \[0, {bound}\)$"):
+            check_component_necessary(rho, rho, side, k, CONFIG, TOL)
+
+
+@pytest.mark.parametrize("name", ["bell.json", "example1.json", "example2_component.json",
+                                  "example2_target.json", "example3.json", "example4.json",
+                                  "maximally_mixed_2x2.json"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_the_k_bound_is_the_target_pencils_block_bound(name, side):
+    assert_k_bound_is_the_pencils(load_fixture(name).density, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(0, 1), st.integers(0, 2**32 - 1),
+       st.sampled_from(["A", "B"]))
+def test_the_k_bound_is_the_block_bound_of_drawn_states(m, n, share, seed, side):
+    shape = BipartiteShape(m, n)
+    assert_k_bound_is_the_pencils(random_density(shape, 1 + int(share * (shape.dim - 1)), seed),
+                                  side)
+
+
+def test_bad_inputs_raise_in_order_pair_target_support_side_k_component_support():
+    pure, mixed, other = (load_fixture(name).density for name in (
+        "bell.json", "maximally_mixed_2x2.json", "example3.json"))
+    floor = ToleranceConfig(abs_floor=0.3)  # cuts each of mixed's eigenvalues 1/4, not pure's 1
+    cut = (ParameterOutOfRange, "^no eigenvalue lies above the rank cut 3.000e-01$")
+    side = (ParameterOutOfRange, "^side must be 'A' or 'B', got 'C'$")
+    k = (InvalidK, r"^k=99 outside \[0, 1\)$")
+    for args, (error, message) in [
+            ((pure, other, "C", 99), (ShapeMismatch, "^target and component shapes differ$")),
+            ((mixed, other, "C", 99), (ShapeMismatch, "^target and component shapes differ$")),
+            ((mixed, mixed, "C", 99), cut),
+            ((mixed, pure, "A", 0), cut),
+            ((pure, mixed, "C", 99), side),
+            ((pure, mixed, "B", 99), k),
+            ((pure, mixed, "A", 0), cut)]:
+        with pytest.raises(error, match=message):
+            check_component_necessary(*args, CONFIG, floor)
 
 
 def reference_scan(target, component, side):

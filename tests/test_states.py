@@ -9,10 +9,11 @@ from mixloci import (BipartiteShape, NotHermitian, PureState, ShapeMismatch, Tol
                      WeightSumInvalid, ZeroVector, density_from_ensemble,
                      density_matrix_from_array, eigen_ensemble, make_ensemble, make_pure,
                      mix, numerical_rank, partial_trace, random_density)
+from mixloci import io, states
 from mixloci.errors import ParameterOutOfRange
 from mixloci.io import StateFileError, load_state
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 
 TOL = ToleranceConfig()
 S22 = BipartiteShape(2, 2)
@@ -262,3 +263,51 @@ def test_density_matrix_stores_its_read_only_spectrum():
     for array in (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def two_pass_density(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """density_matrix_from_array's arithmetic when it formed the Hermitian part
+    twice: hermitian_eig decomposed one (H + H^dagger) / 2 and the state stored
+    another.  Returns the stored matrix, eigenvalues and eigenvectors."""
+    H = np.asarray(matrix, dtype=complex)
+    eigenvalues, eigenvectors = np.linalg.eigh((H + H.conj().T) / 2.0)
+    order = np.argsort(eigenvalues)[::-1]
+    return (H + H.conj().T) / 2.0, eigenvalues[order], eigenvectors[:, order]
+
+
+def test_the_one_pass_density_is_the_two_pass_one_byte_for_byte(monkeypatch, tmp_path):
+    built = []  # (input, state) of every density_matrix_from_array call
+
+    def recording(matrix, shape):
+        rho = density_matrix_from_array(matrix, shape)
+        built.append((matrix, rho))
+        return rho
+
+    monkeypatch.setattr(states, "density_matrix_from_array", recording)
+    monkeypatch.setattr(io, "density_matrix_from_array", recording)
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    for path in fixtures:
+        load_state(path)
+    # normalize: true, complex off-diagonal entries, trace 2, CRLF newlines
+    doc = {"m": 2, "n": 2, "normalize": True,
+           "matrix": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0.5, 0], [0, -0.5], [0, 0],
+                      [0, 0], [0, 0.5], [0.5, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}
+    path = tmp_path / "crlf.json"
+    path.write_bytes(json.dumps(doc, indent=1).replace("\n", "\r\n").encode())
+    assert b"\r\n" in path.read_bytes() and load_state(path).density.eigenvalues()[1] == 0.5
+    for shape in (S22, BipartiteShape(2, 3), S33, BipartiteShape(4, 4), BipartiteShape(6, 6)):
+        for rank in sorted({1, 2, shape.dim // 2, shape.dim}):
+            random_density(shape, rank, seed=[shape.m, shape.n, rank])
+    states.density_matrix_from_array(np.eye(25) / 25, BipartiteShape(5, 5))  # 25 tied eigenvalues
+    # Hermitian only up to 1e-13 per entry: the stored part is not the input
+    rng = np.random.default_rng(5)
+    noise = 1e-13 * (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    skewed = random_density(S33, 5, seed=5).matrix + noise - np.trace(noise) / 9 * np.eye(9)
+    states.density_matrix_from_array(skewed, S33)
+    # the fixtures, the CRLF file, 19 random states, I/25, the skewed matrix's base and itself
+    assert len(built) == len(fixtures) + 1 + 19 + 1 + 2
+    for matrix, rho in built:
+        ours = (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors)
+        for mine, reference in zip(ours, two_pass_density(matrix)):
+            assert mine.tobytes() == reference.tobytes()
+    assert not np.array_equal(built[-1][1].matrix, skewed)

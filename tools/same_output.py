@@ -8,8 +8,9 @@ src/ on PYTHONPATH, once per tree and per OPENBLAS_NUM_THREADS value (1 and
 exit code differs from the old tree's at one thread, with what differs: the
 dotted paths of the --json values (data.reason, say), or stdout, stderr or
 exit; exits 1 if any request differs.  The state files come from this
-repository's fixtures/, but for INVALID_STATES and NEAR_CUT_STATES, which are
-written once to a temporary directory; both trees read the same files.  Only
+repository's fixtures/, but for INVALID_STATES, NEAR_CUT_STATES,
+MATRIX_FORM_STATES and a CRLF copy of its target, which are written once to a
+temporary directory (write_states); both trees read the same files.  Only
 the standard library is used.
 """
 
@@ -49,6 +50,35 @@ NEAR_CUT_STATES = {
 }
 
 
+# |v><v| for v = (|01> + i|10>) / sqrt(2), as [re, im] pairs in row order
+_V_PROJECTOR = [[0, 0], [0, 0], [0, 0], [0, 0],
+                [0, 0], [0.5, 0], [0, -0.5], [0, 0],
+                [0, 0], [0, 0.5], [0.5, 0], [0, 0],
+                [0, 0], [0, 0], [0, 0], [0, 0]]
+
+# matrix-form states.  The target is |00><00| + |v><v|: complex off-diagonal
+# entries, trace 2 (normalize true), rank 2.  Its CRLF copy is written with
+# "\r\n" newlines.  |v><v| lies in its range, |01><01| leaks out of it.
+# A matrix that is not Hermitian exits 2.
+MATRIX_FORM_STATES = {
+    "complex_target.json": {"m": 2, "n": 2, "normalize": True,
+                            "matrix": [[1, 0], *_V_PROJECTOR[1:]]},
+    "contained_component.json": {"m": 2, "n": 2, "normalize": False, "matrix": _V_PROJECTOR},
+    "leaking_component.json": {"m": 2, "n": 2, "matrix": _diagonal([0, 1, 0, 0])},
+    "not_hermitian.json": {"m": 1, "n": 2, "matrix": [[0.5, 0], [0.1, 0.2], [0.3, 0], [0.5, 0]]},
+}
+CRLF_COPY = "complex_target_crlf.json"
+
+
+def write_states(written: Path) -> None:
+    """Write INVALID_STATES, NEAR_CUT_STATES, MATRIX_FORM_STATES and the
+    target's CRLF copy to the directory given."""
+    for name, doc in {**INVALID_STATES, **NEAR_CUT_STATES, **MATRIX_FORM_STATES}.items():
+        (written / name).write_text(json.dumps(doc))
+    crlf = json.dumps(MATRIX_FORM_STATES["complex_target.json"], indent=1).replace("\n", "\r\n")
+    (written / CRLF_COPY).write_bytes(crlf.encode())
+
+
 def _fixture(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -65,8 +95,8 @@ MULTI_BATCH = (
 
 
 def requests(written: Path) -> list[list[str]]:
-    """argv lists after `--json`, INVALID_STATES and NEAR_CUT_STATES read
-    from the directory written: the searches on the fixtures, one-start
+    """argv lists after `--json`, the states write_states wrote read from
+    the directory written: the searches on the fixtures, one-start
     ones among them, the mixture checks on example2 both ways and with one
     start, of example2_target against itself (the
     range-contained path), of bell in example1 (a component whose pencil's
@@ -76,12 +106,15 @@ def requests(written: Path) -> list[list[str]]:
     that side, and of the near-cut pair, bounds
     on every fixture, a Theorem-1 and a Theorem-2 majorization, the
     matrix-form fixture's loci and, at a rank cut above its every
-    eigenvalue, its majorization and bounds, seeded genericity trials, then
+    eigenvalue, its majorization and bounds, the bounds, k=1 locus and
+    majorization of MATRIX_FORM_STATES' target and of its CRLF copy, that
+    target's mixture checks against the contained and the leaking component
+    on both sides, seeded genericity trials, then
     genericity requests that fit one kernel batch, non-square ones and one
     on 8x8 states included, the MULTI_BATCH ones, then requests that exit 2
     with one `error:` line, one per CLI error class and check:
-    INVALID_STATES and the majorization mixture's count and shape checks
-    among them."""
+    INVALID_STATES, the matrix that is not Hermitian and the majorization
+    mixture's count and shape checks among them."""
     reqs = []
     for name in ("example4.json", "example2_target.json"):
         for k in ("1", "2", "3"):
@@ -122,6 +155,13 @@ def requests(written: Path) -> list[list[str]]:
     reqs += [["locus", "--state", matrix_form, "--k", k] for k in ("0", "1")]
     reqs.append(["--tol-rank", "0.5", "majorize", "--p", "1", "--target", matrix_form])
     reqs.append(["--tol-rank", "0.5", "bounds", "--state", matrix_form])
+    target, contained, leaking = (str(written / name) for name in (
+        "complex_target.json", "contained_component.json", "leaking_component.json"))
+    for state in (target, str(written / CRLF_COPY)):
+        reqs += [["bounds", "--state", state], ["locus", "--state", state, "--k", "1"],
+                 ["majorize", "--p", "0.5,0.5", "--target", state]]
+    reqs += [["check-mix", "--target", target, "--component", component, "--side", side]
+             for component in (contained, leaking) for side in ("A", "B")]
     for m, r, t in (("4", "4", "2"), ("3", "3", "2"), ("3", "4", "1")):
         for seed in range(8):
             reqs.append(["--seed", str(seed), "genericity", "--m", m, "--n", m, "--r", r,
@@ -156,7 +196,8 @@ def requests(written: Path) -> list[list[str]]:
         ["--seed", "-1", "bounds", "--state", _fixture("example3.json")],
         ["bounds", "--state", _fixture("missing.json")],
         ["locus", "--state", example4, "--k", "1", "--starts", "0"],
-        *(["bounds", "--state", str(written / name)] for name in INVALID_STATES),
+        *(["bounds", "--state", str(written / name)]
+          for name in (*INVALID_STATES, "not_hermitian.json")),
         ["majorize", "--target", pair[0], "--components", *pair, "--weights", "1"],
         ["majorize", "--target", _fixture("example1.json"),
          "--components", _fixture("example3.json"), "--weights", "1"],
@@ -177,8 +218,7 @@ def main(argv: list[str]) -> int:
         return 2
     old, new = (Path(tree).resolve() for tree in argv)
     with tempfile.TemporaryDirectory() as written:
-        for name, doc in {**INVALID_STATES, **NEAR_CUT_STATES}.items():
-            (Path(written) / name).write_text(json.dumps(doc))
+        write_states(Path(written))
         return compare(old, new, requests(Path(written)))
 
 
